@@ -28,7 +28,8 @@ from .polytope import (Polytope, chamber_intersect, dilate, hull_and_facets,
 from .plfunc import (PLFunction, build_test_polytope, corner_crease,
                      is_w_invariant_pl, max_on_polytope, pl_from_pieces,
                      symmetrize)
-from .problemfile import Problem, load_problem, save_problem, serialize_problem
+from .problemfile import (Problem, load_problem, parse_rat, save_problem,
+                          serialize_problem)
 from .rootsys import RootSystem, build_root_system
 from .scan import FAMILIES, parse_grid, scan_destabilizer
 
@@ -137,7 +138,7 @@ def _report_command(args, emphasize: str) -> int:
     if f is None:
         raise ValidationError("problem file carries no test function")
     roof = problem.option("roof")
-    report = csc_verdict(rs, P, f, roof=Fraction(roof) if roof else None)
+    report = csc_verdict(rs, P, f, roof=parse_rat(roof) if roof else None)
     _emit(args, f"# {emphasize}\n" + report.to_text())
     return EXIT_OK
 
@@ -158,7 +159,7 @@ def cmd_oracle_futaki(args) -> int:
         raise ValidationError("problem file carries no test function")
     Pplus = chamber_intersect(rs, P)
     roof = problem.option("roof")
-    R = Fraction(roof) if roof else None
+    R = parse_rat(roof) if roof else None
     F1 = oracle_futaki(rs, Pplus, f, R=R,
                        progression=_parse_progression(args.progression),
                        budget=args.budget)
@@ -194,7 +195,7 @@ def cmd_lemma_check(args) -> int:
 def cmd_density(args) -> int:
     problem, rs, P = _load(args)
     Pplus = chamber_intersect(rs, P)
-    step = Fraction(args.grid) if args.grid else Fraction(1, 8)
+    step = parse_rat(args.grid) if args.grid else Fraction(1, 8)
     scan = density_sign_scan(rs, Pplus, step)
     lines = ["point,sign"]
     for pt, sign in scan.rows:
@@ -212,7 +213,7 @@ def cmd_lift(args) -> int:
     if f is None:
         raise ValidationError("problem file carries no test function")
     roof = problem.option("roof")
-    R = Fraction(roof) if roof else max(max_on_polytope(f, P), Fraction(1))
+    R = parse_rat(roof) if roof else max(max_on_polytope(f, P), Fraction(1))
     lift = build_test_polytope(P, f, R)
     lines = [f"roof_R: {rat_str(lift.roof)}",
              f"lattice_scale: {lift.scale}",
@@ -230,24 +231,24 @@ def cmd_lift(args) -> int:
 def cmd_gen_example(args) -> int:
     fam = args.family
     if fam == "wonderful":
-        point = tuple(Fraction(x) for x in args.point.split(","))
+        point = tuple(parse_rat(x) for x in args.point.split(","))
         problem = gen_wonderful(args.root_system or "A2", point)
     elif fam == "pgln-simplex":
-        problem = gen_pgln_simplex(args.n or 2, scale=Fraction(args.scale or "1"))
+        problem = gen_pgln_simplex(args.n or 2, scale=parse_rat(args.scale or "1"))
     elif fam == "donaldson72":
         problem = gen_donaldson72(args.n or 10, smooth=args.smooth,
-                                  delta=Fraction(args.delta) if args.delta else None)
+                                  delta=parse_rat(args.delta) if args.delta else None)
     elif fam == "pgl3":
-        problem = gen_pgl3_family(Fraction(args.s or "5"), args.n or 10,
+        problem = gen_pgl3_family(parse_rat(args.s or "5"), args.n or 10,
                                   smooth=args.smooth,
-                                  delta=Fraction(args.delta) if args.delta else None)
+                                  delta=parse_rat(args.delta) if args.delta else None)
     else:
         raise KstabError(f"unknown family {fam!r}")
     if args.epsilon and problem.crease is not None:
         crease = problem.crease
         problem = Problem(problem.root_system, problem.vertices, problem.pl_pieces,
-                          type(crease)(crease.corner, Fraction(args.epsilon),
-                                       Fraction(args.slope or "1"), crease.symmetrize),
+                          type(crease)(crease.corner, parse_rat(args.epsilon),
+                                       parse_rat(args.slope or "1"), crease.symmetrize),
                           problem.options)
     text = serialize_problem(problem)
     if args.outfile:

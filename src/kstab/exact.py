@@ -293,13 +293,6 @@ def upoly_eval(coeffs: Sequence[Fraction], x) -> Fraction:
     return out
 
 
-def upoly_degree(coeffs: Sequence[Fraction]) -> int:
-    for i in reversed(range(len(coeffs))):
-        if coeffs[i]:
-            return i
-    return -1
-
-
 def interpolate_univariate(samples: Sequence[tuple], degree: int) -> list[Fraction]:
     """Exact polynomial of degree <= `degree` through the first degree+1 samples.
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import KstabError, ValidationError
 from .exact import (MPoly, Vec, as_vec, dot, lcm_denominators, primitive,
                     rat, vsub)
-from .polytope import (CREASE, OUTER, Facet, Polytope, edge_directions_at,
-                       hull_and_facets, vertices_from_halfspaces)
+from .polytope import (CREASE, OUTER, Facet, Polytope, clip,
+                       edge_directions_at, hull_and_facets)
 from .rootsys import RootSystem
 
 Piece = tuple[Fraction, Vec]  # (constant, gradient): value = constant + <gradient, x>
@@ -129,9 +129,7 @@ def _common_refinement_vertices(P: Polytope, f: PLFunction, g: PLFunction):
     cells_f = subdivision_from_pl(P, f).cells
     cells_g = subdivision_from_pl(P, g).cells
     for (A, _), (B, _) in itertools.product(cells_f, cells_g):
-        hs = [(ft.normal, ft.offset) for ft in A.facets]
-        hs += [(ft.normal, ft.offset) for ft in B.facets]
-        for v in vertices_from_halfspaces(hs, P.ambient):
+        for v in clip(A, [(ft.normal, ft.offset) for ft in B.facets]):
             if v not in seen:
                 seen.add(v)
                 yield v
@@ -160,10 +158,9 @@ def subdivision_from_pl(P: Polytope, f: PLFunction) -> Subdivision:
         raise KstabError("subdivision expects a full-dimensional polytope")
     if f.nvars != P.ambient:
         raise KstabError("function and polytope dimensions disagree")
-    base_hs = [(ft.normal, ft.offset) for ft in P.facets]
     cells = []
     for i, (ci, gi) in enumerate(f.pieces):
-        hs = list(base_hs)
+        hs = []
         for j, (cj, gj) in enumerate(f.pieces):
             if i == j:
                 continue
@@ -177,7 +174,7 @@ def subdivision_from_pl(P: Polytope, f: PLFunction) -> Subdivision:
             hs.append((diff, cj - ci))  # <gi - gj, x> >= cj - ci
         if hs is None:
             continue
-        verts = vertices_from_halfspaces(hs, P.ambient)
+        verts = clip(P, hs)
         if len(verts) <= P.ambient:
             continue
         cell = hull_and_facets(verts)

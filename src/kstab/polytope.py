@@ -1,10 +1,15 @@
 """Exact rational polytopes in ambient dimension <= 3.
 
-Hulls and facet enumeration are done by exact brute force with
-deterministic (lexicographic) tie-breaking; 2-D hulls use the monotone
-chain so that polygons with many vertices (corner smoothing output) stay
-cheap.  A polytope that is not full-dimensional carries a chart into the
-saturated lattice of its direction space, which is exactly the
+Hulls are exact with deterministic (lexicographic) tie-breaking: 2-D
+hulls use the monotone chain so that polygons with many vertices (corner
+smoothing output) stay cheap, and 3-D hulls test every vertex triple.
+Every cell cut (chamber, linearity domain, pairwise intersection) goes
+through `clip`, which cuts the vertex set of a polytope by one halfspace
+at a time and finds the edges each cut crosses from the vertices' facet
+incidences.  `vertices_from_halfspaces`, which solves every square
+subsystem, is kept as the independent reference for `validate_vh` and
+the tests.  A polytope that is not full-dimensional carries a chart into
+the saturated lattice of its direction space, which is exactly the
 normalization that the face measure requires.
 
 Facets carry a tag: ``outer`` (inside the boundary of the original
@@ -306,7 +311,11 @@ def edge_directions_at(P: Polytope, v) -> list[tuple[int, ...]]:
 
 
 def vertices_from_halfspaces(halfspaces, ambient: int) -> list[Vec]:
-    """All basic feasible points of a finite halfspace system (exact)."""
+    """All basic feasible points of a finite halfspace system (exact).
+
+    Brute force over every square subsystem; the reference that `clip`
+    is tested against.
+    """
     hs = [(tuple(Fraction(x) for x in n), Fraction(c)) for n, c in halfspaces]
     out: set[Vec] = set()
     for combo in itertools.combinations(range(len(hs)), ambient):
@@ -318,6 +327,44 @@ def vertices_from_halfspaces(halfspaces, ambient: int) -> list[Vec]:
         if all(dot(n, x) >= c for n, c in hs):
             out.add(x)
     return sorted(out)
+
+
+def clip(P: Polytope, halfspaces) -> list[Vec]:
+    """Vertices of P cut by halfspaces <n, x> >= c, lex-sorted; [] if empty.
+
+    P must be full-dimensional.  Each vertex carries the set of constraint
+    indices tight at it, starting from P.facets.  A cut keeps the vertices
+    on its closed positive side, adding the new index where they are
+    tight, and puts a new vertex where it crosses each edge u-w with u
+    strictly inside and w strictly outside.  Two vertices u, w form an edge
+    exactly when no third vertex's tight set contains T(u) & T(w): the
+    face cut out by those constraints then has just u and w as vertices.
+    The rule needs no dimension case and stays exact when the result
+    flattens to a face.
+    """
+    if not P.is_full_dim:
+        raise KstabError("clip expects a full-dimensional polytope")
+    verts = [(v, frozenset(i for i, f in enumerate(P.facets)
+                           if dot(f.normal, v) == f.offset))
+             for v in P.vertices]
+    for idx, (n, c) in enumerate(halfspaces, start=len(P.facets)):
+        side = [dot(n, v) - c for v, _ in verts]
+        inside = [(v, T, s) for (v, T), s in zip(verts, side) if s > 0]
+        outside = [(v, T, s) for (v, T), s in zip(verts, side) if s < 0]
+        kept = [(v, T) for v, T, _ in inside]
+        kept += [(v, T | {idx}) for (v, T), s in zip(verts, side) if s == 0]
+        for u, Tu, su in inside:
+            for w, Tw, sw in outside:
+                common = Tu & Tw
+                if any(common <= T for x, T in verts if x is not u and x is not w):
+                    continue
+                t = su / (su - sw)
+                kept.append((tuple(a + t * (b - a) for a, b in zip(u, w)),
+                             common | {idx}))
+        if not kept:
+            return []
+        verts = kept
+    return sorted(v for v, _ in verts)
 
 
 def dilate(P: Polytope, factor) -> Polytope:
@@ -385,9 +432,7 @@ def chamber_intersect(rs: RootSystem, P: Polytope) -> Polytope:
         raise ValidationError(f"polytope is not Weyl-invariant, witness {witness}")
     if rs.is_toric:
         return P
-    halfspaces = [(f.normal, f.offset) for f in P.facets]
-    halfspaces += [(w, Fraction(0)) for w in rs.wall_normals]
-    verts = vertices_from_halfspaces(halfspaces, P.ambient)
+    verts = clip(P, [(w, 0) for w in rs.wall_normals])
     if not verts or _affine_rank(verts) < P.ambient:
         raise ValidationError("intersection with the positive chamber is degenerate")
     hull = hull_and_facets(verts)
@@ -447,9 +492,7 @@ class ComplexReport:
 
 def intersect_polytopes(A: Polytope, B: Polytope) -> Polytope | None:
     """Exact intersection of two full-dimensional polytopes (None if empty)."""
-    hs = [(f.normal, f.offset) for f in A.facets] + \
-         [(f.normal, f.offset) for f in B.facets]
-    verts = vertices_from_halfspaces(hs, A.ambient)
+    verts = clip(A, [(f.normal, f.offset) for f in B.facets])
     if not verts:
         return None
     return hull_and_facets(verts)

@@ -48,11 +48,12 @@ class Problem:
         return default
 
 
-def _parse_rat(tok: str, line: int) -> Fraction:
+def parse_rat(tok: str, line: int | None = None) -> Fraction:
+    """An exact rational from text; ParseError (exit 4) when malformed."""
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", line)
+        raise ParseError(f"bad rational {tok!r}", line) from None
 
 
 def parse_problem(text: str) -> Problem:
@@ -60,6 +61,7 @@ def parse_problem(text: str) -> Problem:
     root = None
     vertices: list[Vec] = []
     pieces: list[tuple[Fraction, Vec]] = []
+    piece_lines: list[int] = []
     crease_kv: dict[str, str] = {}
     options: list[tuple[str, str]] = []
     saw_pl = False
@@ -84,13 +86,14 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("duplicate root system line", lineno)
             root = line
         elif section == "polytope":
-            vertices.append(tuple(_parse_rat(t, lineno) for t in line.split()))
+            vertices.append(tuple(parse_rat(t, lineno) for t in line.split()))
         elif section == "pl_function":
             toks = line.split()
             if len(toks) < 2:
                 raise ParseError("piece needs a constant and a gradient", lineno)
-            vals = [_parse_rat(t, lineno) for t in toks]
+            vals = [parse_rat(t, lineno) for t in toks]
             pieces.append((vals[0], tuple(vals[1:])))
+            piece_lines.append(lineno)
         elif section in ("crease", "options"):
             if "=" not in line:
                 raise ParseError("expected key = value", lineno)
@@ -105,6 +108,11 @@ def parse_problem(text: str) -> Problem:
         raise ParseError("missing [polytope] section")
     if len({len(v) for v in vertices}) != 1:
         raise ParseError("polytope vertices have mixed dimensions")
+    dim = len(vertices[0])
+    for (_, grad), lineno in zip(pieces, piece_lines):
+        if len(grad) != dim:
+            raise ParseError(f"piece gradient has {len(grad)} entries, "
+                             f"the polytope dimension is {dim}", lineno)
     crease = None
     if saw_crease:
         try:

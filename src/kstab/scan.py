@@ -22,7 +22,7 @@ from .functionals import StabilityReport, csc_verdict, stability_bracket
 from .generators import gen_donaldson72, gen_pgl3_family, gen_wonderful
 from .polytope import chamber_intersect, hull_and_facets
 from .plfunc import corner_crease, symmetrize
-from .problemfile import CreaseSpec, Problem
+from .problemfile import CreaseSpec, Problem, parse_rat
 from .rootsys import build_root_system
 
 FAMILIES = ("donaldson72", "pgl3", "wonderful-a1")
@@ -169,5 +169,5 @@ def parse_grid(spec: str) -> dict[str, list[Fraction]]:
         if "=" not in chunk:
             raise KstabError(f"bad grid chunk {chunk!r}")
         name, vals = chunk.split("=", 1)
-        grid[name.strip()] = [Fraction(v.strip()) for v in vals.split(",")]
+        grid[name.strip()] = [parse_rat(v.strip()) for v in vals.split(",")]
     return grid

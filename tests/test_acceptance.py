@@ -6,6 +6,7 @@ marked as derived were reproduced through the independent lattice-point
 oracle before being frozen here.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,15 @@ from kstab.scan import scan_destabilizer
 
 EPS_GRID = [F(1, 64), F(1, 32), F(1, 16), F(1, 8), F(1, 4)]
 SLOPE_GRID = [F(1), F(4), F(16)]
+
+# sha256 of the default-grid scan CSVs; any change to a bracket, a status
+# or the row order shows here
+DONALDSON72_CSV_SHA256 = "11b2437bdaff88c8eafb412d4ae9732144f3d00324716255d4dae26b905f0136"
+PGL3_CSV_SHA256 = "1e5999ae248c377bec7e27e239d3992c076c471bcea73d70197aa8005640ef03"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _ok(n, msg):
@@ -147,6 +157,7 @@ def test_criterion_6_toric_reduction():
 def test_criterion_7_donaldson_certificate():
     grid = {"n": [10, 20, 50, 100], "epsilon": EPS_GRID, "slope": SLOPE_GRID}
     result = scan_destabilizer("donaldson72", grid)
+    assert _sha256(result.to_csv()) == DONALDSON72_CSV_SHA256
     negatives = [r for r in result.rows if r.bracket is not None and r.bracket < 0]
     if not negatives:
         pytest.fail("no destabilizer found; full scan:\n" + result.to_csv())
@@ -161,6 +172,7 @@ def test_criterion_8_pgl3_certificate():
     grid = {"s": [F(5), F(10), F(20)], "n": [10, 20, 50, 100],
             "epsilon": EPS_GRID, "slope": SLOPE_GRID}
     result = scan_destabilizer("pgl3", grid)
+    assert _sha256(result.to_csv()) == PGL3_CSV_SHA256
     negatives = [r for r in result.rows if r.bracket is not None and r.bracket < 0]
     if not negatives:
         pytest.fail("no destabilizer found; full scan:\n" + result.to_csv())

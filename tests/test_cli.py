@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import kstab
 from kstab.cli import main
 from kstab.problemfile import parse_problem
 from kstab.scan import parse_grid, scan_destabilizer
@@ -152,3 +157,45 @@ class TestGenAndScan:
         grid = parse_grid("n=10,20;epsilon=1/64;slope=1,4")
         assert grid["n"] == [F(10), F(20)]
         assert grid["epsilon"] == [F(1, 64)]
+
+
+A1_PL = "[root_system]\nA1\n\n[polytope]\n-1\n1\n\n[pl_function]\n0 0\n-1/2 1\n"
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback on stderr."""
+    src = str(Path(kstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "kstab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestParseExitCodes:
+    def assert_parse_error(self, proc, *fragments):
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+        for frag in fragments:
+            assert frag in lines[0]
+
+    @pytest.mark.parametrize("point", ["1,x", "1/0,1"])
+    def test_bad_point(self, point):
+        proc = run_cli("gen-example", "--family", "wonderful", "--point", point)
+        self.assert_parse_error(proc, "bad rational")
+
+    def test_bad_grid_value(self):
+        proc = run_cli("scan", "--family", "donaldson72", "--grid", "n=10;epsilon=x")
+        self.assert_parse_error(proc, "'x'")
+
+    @pytest.mark.parametrize("command", ["futaki", "oracle-futaki", "lift"])
+    def test_bad_roof_option(self, tmp_path, command):
+        path = tmp_path / "roof.prob"
+        path.write_text(A1_PL + "\n[options]\nroof = abc\n")
+        self.assert_parse_error(run_cli(command, "--in", str(path)), "'abc'")
+
+    def test_gradient_of_wrong_length(self, tmp_path):
+        path = tmp_path / "grad.prob"
+        path.write_text(A1_PL + "1 2 3\n")
+        self.assert_parse_error(run_cli("futaki", "--in", str(path)), "line 11")

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from kstab.errors import ValidationError
 from kstab.exact import det
-from kstab.polytope import (WALL, OUTER, chamber_intersect, contains, dilate,
+from kstab.polytope import (WALL, OUTER, chamber_intersect, clip, contains, dilate,
                             edge_directions_at, hj_rays, hj_smooth_corner_2d,
                             hull_and_facets, is_delzant, is_w_invariant,
                             lattice_scale, make_delzant_2d, polygon_from_ring,
@@ -251,6 +252,57 @@ class TestHelpers:
         hs = [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-1))]
         got = vertices_from_halfspaces(hs, 2)
         assert set(got) == {V(0, 0), V(1, 0), V(0, 1)}
+
+    def test_clip_matches_brute_force_random(self):
+        rng = random.Random(7)
+        cases = 0
+        through_vertex = 0
+        flattened_or_empty = 0
+        while cases < 300:
+            d = 1 + cases % 3
+            pts = [tuple(rng.randint(-4, 4) for _ in range(d))
+                   for _ in range(rng.randint(d + 1, d + 4))]
+            P = hull_and_facets(pts)
+            if not P.is_full_dim:
+                continue
+            hs = []
+            for _ in range(rng.randint(1, 6)):
+                n = tuple(rng.randint(-3, 3) for _ in range(d))
+                if not any(n):
+                    continue
+                if rng.random() < 0.3:
+                    c = sum(a * x for a, x in zip(n, rng.choice(P.vertices)))
+                    through_vertex += 1
+                else:
+                    c = F(rng.randint(-12, 12), rng.randint(1, 3))
+                hs.append((n, c))
+            got = clip(P, hs)
+            want = vertices_from_halfspaces(
+                [(f.normal, f.offset) for f in P.facets] + hs, d)
+            assert got == want, (P.vertices, hs)
+            if len(want) <= d:
+                flattened_or_empty += 1
+            cases += 1
+        assert through_vertex > 50 and flattened_or_empty > 10
+
+    def test_clip_through_a_vertex_adds_no_point(self):
+        P = hull_and_facets(UNIT_SQUARE)
+        # x + y >= 1 passes through (1, 0) and (0, 1)
+        assert clip(P, [((1, 1), 1)]) == [V(0, 1), V(1, 0), V(1, 1)]
+        # x >= y passes through (0, 0) and (1, 1), then x + y <= 1 passes
+        # through the vertex (1, 0) of the triangle left over
+        assert clip(P, [((1, -1), 0), ((-1, -1), -1)]) \
+            == [V(0, 0), V(F(1, 2), F(1, 2)), V(1, 0)]
+
+    def test_clip_leaving_one_facet(self):
+        cube = hull_and_facets([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+        # z <= 0 keeps just the bottom face of the cube
+        assert clip(cube, [((0, 0, -1), 0)]) == [V(0, 0, 0), V(0, 1, 0), V(1, 0, 0), V(1, 1, 0)]
+
+    def test_clip_to_empty(self):
+        P = hull_and_facets(UNIT_SQUARE)
+        assert clip(P, [((1, 1), 3)]) == []
+        assert clip(interval(-1, 1), [((1,), F(1, 2)), ((-1,), 0)]) == []
 
     def test_dilate(self):
         P = hull_and_facets(UNIT_SQUARE)

@@ -51,6 +51,12 @@ class TestParse:
             parse_problem(text)
         assert "line 5" in str(exc.value)
 
+    def test_gradient_of_wrong_length_reports_line(self):
+        text = "[root_system]\nA1\n[pl_function]\n0 0\n1 2 3\n[polytope]\n-1\n1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert "line 5" in str(exc.value)
+
     def test_unknown_section(self):
         with pytest.raises(ParseError):
             parse_problem("[nonsense]\n1\n")
