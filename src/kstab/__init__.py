@@ -11,9 +11,10 @@ first-principles weighted lattice-point sums.
 
 from .errors import (BudgetError, FitMismatch, KstabError, ParseError,
                      ValidationError)
-from .exact import MPoly, interpolate_univariate, poly_arith, rat_str
-from .functionals import (StabilityReport, abcd_coefficients, average_a,
-                          csc_verdict, density_sign_scan, futaki_minus_F1,
+from .exact import MPoly, interpolate_univariate, rat_str
+from .functionals import (BracketTerms, StabilityReport, abcd_coefficients,
+                          average_a, bracket_terms, csc_verdict,
+                          density_sign_scan, futaki_minus_F1, plus_masses,
                           stability_bracket)
 from .generators import (gen_donaldson72, gen_pgl3_family, gen_pgln_simplex,
                          gen_wonderful, random_w_invariant_polytope)

@@ -67,7 +67,7 @@ def _parse_progression(spec: str | None):
     try:
         k0, step, count = (int(x) for x in spec.split(":"))
     except ValueError:
-        raise KstabError(f"bad progression {spec!r}; expected k0:step:count")
+        raise ParseError(f"bad progression {spec!r}; expected k0:step:count") from None
     return k0, step, count
 
 

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .errors import FitMismatch, KstabError
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 
@@ -270,18 +269,6 @@ class MPoly:
     __repr__ = __str__
 
 
-def poly_arith(op: str, p: MPoly, q) -> MPoly:
-    """Dispatch helper mirroring the module contract: add | mul | affine_substitute."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "affine_substitute":
-        rows, offset = q
-        return p.substitute_affine(rows, offset)
-    raise KstabError(f"unknown polynomial operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials (dense coefficient lists, low degree first)
 
@@ -372,41 +359,11 @@ def _integer_rows(rows: Sequence[Sequence], extra: Sequence | None = None):
     return out
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    M = []
-    for row in rows:
-        den = lcm_denominators(row)
-        scale *= den
-        M.append([int(Fraction(x) * den) for x in row])
+def _bareiss(M: list[list[int]], n: int) -> int | None:
+    """Fraction-free forward elimination of the first n columns of the
+    integer matrix M, in place; the sign of the row permutation, or None
+    when the leading n x n block is singular."""
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return Fraction(sign * M[n - 1][n - 1], 1) / scale
-
-
-def solve_linear(A: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """Unique solution of a square system, or None when singular.
-
-    Fraction-free forward elimination keeps intermediate entries integral.
-    """
-    n = len(A)
-    M = _integer_rows(A, b)
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k] != 0), None)
@@ -414,15 +371,35 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> Vec | None:
             return None
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
+            sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, len(M[k])):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
             M[i][k] = 0
         prev = M[k][k]
+    return sign
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    M = _integer_rows(rows)
+    sign = _bareiss(M, n)
+    if sign is None:
+        return Fraction(0)
+    return Fraction(sign * M[n - 1][n - 1], math.prod(lcm_denominators(row) for row in rows))
+
+
+def solve_linear(A: Sequence[Sequence], b: Sequence) -> Vec | None:
+    """Unique solution of a square system, or None when singular."""
+    n = len(A)
+    M = _integer_rows(A, b)
+    if _bareiss(M, n) is None:
+        return None
     xs = [Fraction(0)] * n
     for i in reversed(range(n)):
-        if M[i][i] == 0:
-            return None
         s = Fraction(M[i][n])
         for j in range(i + 1, n):
             s -= M[i][j] * xs[j]
@@ -430,34 +407,12 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> Vec | None:
     return tuple(xs)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    R = [[Fraction(x) for x in row] for row in rows]
-    if not R:
-        return 0
-    ncols = len(R[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        R[r] = [x / R[r][c] for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        r += 1
-        if r == len(R):
-            break
-    return r
-
-
-def rational_kernel(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Basis of {x in Q^ncols : A x = 0}."""
+def _row_reduce(rows: Sequence[Sequence], ncols: int):
+    """Reduced row echelon form over Q: (reduced rows, pivot columns)."""
     R = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
         if piv is None:
             continue
@@ -468,7 +423,16 @@ def rational_kernel(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
                 f = R[i][c]
                 R[i] = [a - f * b for a, b in zip(R[i], R[r])]
         pivots.append(c)
-        r += 1
+    return R, pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def rational_kernel(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
+    """Basis of {x in Q^ncols : A x = 0}."""
+    R, pivots = _row_reduce(rows, ncols)
     basis = []
     for free in range(ncols):
         if free in pivots:

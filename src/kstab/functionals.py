@@ -11,6 +11,13 @@ part of the Mabuchi energy (B(f) times a symbolic (2*pi)^r), and the final
 verdict: a negative bracket certifies that no constant-scalar-curvature
 metric exists in the polarization class.
 
+All of these, and the ABCD coefficients of the lifted degeneration, are
+arithmetic on six integrals over P+ (`BracketTerms`): the masses X and Z
+(outer boundary and interior H_top mass) and Y (H_sub mass), integrated
+once per P+ by `plus_masses`, and their f-weighted counterparts B_top,
+I_top and I_sub, integrated once per (P+, f) by `bracket_terms` over the
+cells of f's linearity subdivision.
+
 The boundary is always taken over the outer facets; the top graded part
 vanishes identically on chamber walls, so the choice is immaterial for the
 weights used here but fixes the semantics once and for all.
@@ -73,69 +80,92 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _mass_integrals(rs: RootSystem, Pplus: Polytope):
-    """(X, Y, Z) = (outer boundary H_top mass, H_sub mass, H_top mass)."""
+def plus_masses(rs: RootSystem, Pplus: Polytope) -> tuple[Fraction, Fraction, Fraction]:
+    """(X, Y, Z) = (outer boundary H_top mass, H_sub mass, H_top mass) of P+."""
     X = boundary_integral(Pplus, rs.H_top, OUTER)
     Y = integrate_poly(Pplus, rs.H_sub)
     Z = integrate_poly(Pplus, rs.H_top)
+    if Z <= 0:
+        raise ValidationError("degenerate polytope: H_top has no mass")
     return X, Y, Z
 
 
-def average_a(rs: RootSystem, Pplus: Polytope) -> Fraction:
-    """Average scalar curvature of the polarization, from polytope data."""
-    X, Y, Z = _mass_integrals(rs, Pplus)
-    if Z <= 0:
-        raise ValidationError("degenerate polytope: H_top has no mass")
-    return (X + 2 * Y) / Z
+@dataclass(frozen=True)
+class BracketTerms:
+    """The six integrals of one (P+, f), and the max of f on P+."""
+    X: Fraction      # outer boundary H_top mass
+    Y: Fraction      # H_sub mass
+    Z: Fraction      # H_top mass, positive
+    B_top: Fraction  # outer boundary f*H_top mass
+    I_sub: Fraction  # f*H_sub mass
+    I_top: Fraction  # f*H_top mass
+    f_max: Fraction  # the least admissible roof constant
+
+    @property
+    def a(self) -> Fraction:
+        return (self.X + 2 * self.Y) / self.Z
+
+    @property
+    def bracket(self) -> Fraction:
+        return self.B_top + 2 * self.I_sub - self.a * self.I_top
+
+    @property
+    def minus_F1(self) -> Fraction:
+        return self.bracket / (2 * self.Z)
+
+    def abcd(self, R):
+        """The four expansion coefficients of the lifted degeneration with
+        roof R, plus the cross-check ratio (A*D - B*C)/C^2 which equals -F1
+        exactly."""
+        R = rat(R)
+        if R < self.f_max:
+            raise ValidationError("roof constant below max of f")
+        A = R * self.Z - self.I_top
+        D = Fraction(1, 2) * self.X + self.Y
+        B = R * D - (Fraction(1, 2) * self.B_top + self.I_sub)
+        C = self.Z
+        return A, B, C, D, (A * D - B * C) / C ** 2
 
 
-def _weighted_f_integrals(rs: RootSystem, Pplus: Polytope, f: PLFunction):
-    """(B_top, I_sub, I_top): the three f-weighted masses of the bracket.
+def bracket_terms(rs: RootSystem, Pplus: Polytope, f: PLFunction,
+                  masses: tuple[Fraction, Fraction, Fraction]) -> BracketTerms:
+    """Complete the masses of `plus_masses` with the f-weighted terms.
 
     f is affine on each cell of its linearity subdivision of the moment
     polytope, so every integrand is an exact polynomial per cell; the cell
     facets inherit the outer/wall tags, which makes the boundary term a sum
     over exactly the outer part of the boundary with no double counting.
     """
-    sub = subdivision_from_pl(Pplus, f)
     B_top = Fraction(0)
     I_sub = Fraction(0)
     I_top = Fraction(0)
-    for cell, idx in sub.cells:
+    for cell, idx in subdivision_from_pl(Pplus, f).cells:
         ell = piece_poly(f.pieces[idx])
         I_top += integrate_poly(cell, ell * rs.H_top)
         I_sub += integrate_poly(cell, ell * rs.H_sub)
         for ft in cell.facets:
             if ft.tag == OUTER:
                 B_top += face_integral(facet_polytope(cell, ft), ell * rs.H_top)
-    return B_top, I_sub, I_top
+    return BracketTerms(*masses, B_top, I_sub, I_top, max_on_polytope(f, Pplus))
+
+
+def average_a(rs: RootSystem, Pplus: Polytope) -> Fraction:
+    """Average scalar curvature of the polarization, from polytope data."""
+    X, Y, Z = plus_masses(rs, Pplus)
+    return (X + 2 * Y) / Z
 
 
 def stability_bracket(rs: RootSystem, Pplus: Polytope, f: PLFunction) -> Fraction:
-    a = average_a(rs, Pplus)
-    B_top, I_sub, I_top = _weighted_f_integrals(rs, Pplus, f)
-    return B_top + 2 * I_sub - a * I_top
+    return bracket_terms(rs, Pplus, f, plus_masses(rs, Pplus)).bracket
 
 
 def futaki_minus_F1(rs: RootSystem, Pplus: Polytope, f: PLFunction) -> Fraction:
-    Z = integrate_poly(Pplus, rs.H_top)
-    return stability_bracket(rs, Pplus, f) / (2 * Z)
+    return bracket_terms(rs, Pplus, f, plus_masses(rs, Pplus)).minus_F1
 
 
 def abcd_coefficients(rs: RootSystem, Pplus: Polytope, f: PLFunction, R):
-    """The four expansion coefficients of the lifted degeneration, plus the
-    cross-check ratio (A*D - B*C)/C^2 which equals -F1 exactly."""
-    R = rat(R)
-    if R < max_on_polytope(f, Pplus):
-        raise ValidationError("roof constant below max of f")
-    X, Y, Z = _mass_integrals(rs, Pplus)
-    B_top, I_sub, I_top = _weighted_f_integrals(rs, Pplus, f)
-    A = R * Z - I_top
-    D = Fraction(1, 2) * X + Y
-    B = R * D - (Fraction(1, 2) * B_top + I_sub)
-    C = Z
-    ratio = (A * D - B * C) / C ** 2
-    return A, B, C, D, ratio
+    """A, B, C, D and (A*D - B*C)/C^2; see `BracketTerms.abcd`."""
+    return bracket_terms(rs, Pplus, f, plus_masses(rs, Pplus)).abcd(R)
 
 
 @dataclass(frozen=True)
@@ -196,16 +226,13 @@ def csc_verdict(rs: RootSystem, P: Polytope, f: PLFunction,
     if not is_w_invariant_pl(rs, f, P):
         raise ValidationError("test function is not Weyl-invariant on the polytope")
     Pplus = chamber_intersect(rs, P)
-    a = average_a(rs, Pplus)
-    bracket = stability_bracket(rs, Pplus, f)
-    Z = integrate_poly(Pplus, rs.H_top)
-    minus_F1 = bracket / (2 * Z)
+    terms = bracket_terms(rs, Pplus, f, plus_masses(rs, Pplus))
+    bracket = terms.bracket
     if roof is None:
-        mx = max_on_polytope(f, P)
+        # P and f are W-invariant, so f has the same max on P and on P+
+        mx = terms.f_max
         roof = Fraction(-((-mx.numerator) // mx.denominator)) if mx > 0 else Fraction(1)
-        if roof < mx:
-            roof = mx
-    A, B, C, D, ratio = abcd_coefficients(rs, Pplus, f, roof)
+    A, B, C, D, ratio = terms.abcd(roof)
     if bracket < 0:
         verdict = VERDICT_DESTABILIZING
         note = ("Mabuchi energy unbounded below along this degeneration; no "
@@ -217,7 +244,7 @@ def csc_verdict(rs: RootSystem, P: Polytope, f: PLFunction,
         verdict = VERDICT_NONNEGATIVE
         note = _APPROX_NOTE
     return StabilityReport(
-        root_system=rs.label, a=a, bracket=bracket, minus_F1=minus_F1,
+        root_system=rs.label, a=terms.a, bracket=bracket, minus_F1=terms.minus_F1,
         mabuchi_coeff=bracket, mabuchi_prefactor=f"(2*pi)^{rs.rank}",
         abcd=(A, B, C, D), abcd_ratio=ratio, roof=rat(roof),
         verdict=verdict, note=note)

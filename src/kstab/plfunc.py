@@ -112,27 +112,20 @@ def symmetrize(rs: RootSystem, f: PLFunction) -> PLFunction:
 def is_w_invariant_pl(rs: RootSystem, f: PLFunction, P: Polytope) -> bool:
     """Exact invariance test: f == f ∘ w on P for each generator w.
 
-    Both functions are affine on every cell of the common refinement of
-    their linearity subdivisions, so comparing values at all refined-cell
-    vertices decides equality exactly.
+    Two convex PL functions agree on P exactly when they agree at every
+    cell vertex of both linearity subdivisions: on a cell where one of them
+    is affine, the other (convex) lies below it as soon as it does at the
+    cell's vertices.
     """
+    def cell_vertices(h: PLFunction) -> set[Vec]:
+        return {v for cell, _ in subdivision_from_pl(P, h).cells for v in cell.vertices}
+
     for mat in rs.generators:
         g = f.compose_matrix(mat)
-        for x in _common_refinement_vertices(P, f, g):
+        for x in cell_vertices(f) | cell_vertices(g):
             if eval_pl(f, x) != eval_pl(g, x):
                 return False
     return True
-
-
-def _common_refinement_vertices(P: Polytope, f: PLFunction, g: PLFunction):
-    seen = set()
-    cells_f = subdivision_from_pl(P, f).cells
-    cells_g = subdivision_from_pl(P, g).cells
-    for (A, _), (B, _) in itertools.product(cells_f, cells_g):
-        for v in clip(A, [(ft.normal, ft.offset) for ft in B.facets]):
-            if v not in seen:
-                seen.add(v)
-                yield v
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,11 @@ def build_root_system(label: str) -> RootSystem:
     group, the purely toric reduction).
     """
     label = label.strip()
-    if label.startswith("toric:") or label.startswith("Trivial("):
-        if label.startswith("toric:"):
-            r = int(label.split(":", 1)[1])
-        else:
-            r = int(label[len("Trivial("):].rstrip(")"))
+    if label.startswith("toric:"):
+        try:
+            r = int(label[len("toric:"):])
+        except ValueError:
+            raise KstabError(f"unsupported root system label {label!r}") from None
         if not 1 <= r <= 3:
             raise KstabError(f"unsupported toric rank {r} (must be 1..3)")
         one = MPoly.const(r, 1)

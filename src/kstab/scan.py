@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import KstabError, ValidationError
+from .errors import KstabError, ParseError, ValidationError
 from .exact import rat, rat_str
-from .functionals import StabilityReport, csc_verdict, stability_bracket
+from .functionals import (StabilityReport, bracket_terms, csc_verdict,
+                          plus_masses)
 from .generators import gen_donaldson72, gen_pgl3_family, gen_wonderful
 from .polytope import chamber_intersect, hull_and_facets
 from .plfunc import corner_crease, symmetrize
@@ -93,7 +94,8 @@ class ScanResult:
 
 
 def _instance(family: str, params: dict[str, Fraction]):
-    """(problem, rs, P, P+, crease corner) for one (s, n) slice of the grid."""
+    """(problem, rs, P, P+, masses of P+, crease corner) for one (s, n)
+    slice of the grid."""
     if family == "donaldson72":
         problem = gen_donaldson72(int(params["n"]))
     elif family == "pgl3":
@@ -108,7 +110,8 @@ def _instance(family: str, params: dict[str, Fraction]):
         corner = problem.crease.corner
     else:  # wonderful family: crease at the chamber-ray vertex
         corner = max(P.vertices)
-    return problem, rs, P, chamber_intersect(rs, P), corner
+    Pplus = chamber_intersect(rs, P)
+    return problem, rs, P, Pplus, plus_masses(rs, Pplus), corner
 
 
 def _crease_for(rs, Pplus, corner, params):
@@ -131,13 +134,13 @@ def scan_destabilizer(family: str, grid: dict | None = None) -> ScanResult:
         key = tuple(params[a] for a in axes if a in ("s", "n"))
         if key not in cache:
             cache[key] = _instance(family, params)
-        problem, rs, P, Pplus, corner = cache[key]
+        problem, rs, P, Pplus, masses, corner = cache[key]
         try:
             f = _crease_for(rs, Pplus, corner, params)
         except ValidationError:
             rows.append(ScanRow(tuple(sorted(params.items())), "invalid-epsilon", None))
             continue
-        bracket = stability_bracket(rs, Pplus, f)
+        bracket = bracket_terms(rs, Pplus, f, masses).bracket
         rows.append(ScanRow(tuple(sorted(params.items())), "ok", bracket))
         if best_idx is None or bracket < rows[best_idx].bracket:
             best_idx = len(rows) - 1
@@ -146,7 +149,7 @@ def scan_destabilizer(family: str, grid: dict | None = None) -> ScanResult:
     best_report = None
     if best is not None:
         params = dict(best.params)
-        problem, rs, P, Pplus, corner = cache[
+        problem, rs, P, Pplus, _, corner = cache[
             tuple(params[a] for a in axes if a in ("s", "n"))]
         best_report = csc_verdict(rs, P, _crease_for(rs, Pplus, corner, params))
         crease = None
@@ -167,7 +170,7 @@ def parse_grid(spec: str) -> dict[str, list[Fraction]]:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise KstabError(f"bad grid chunk {chunk!r}")
+            raise ParseError(f"bad grid chunk {chunk!r}; expected name=v1,v2,...")
         name, vals = chunk.split("=", 1)
         grid[name.strip()] = [parse_rat(v.strip()) for v in vals.split(",")]
     return grid

@@ -50,6 +50,29 @@ class TestValidate:
         assert main(["validate", "--in", str(path)]) == 4
 
 
+A2_HEXAGON_CREASE = (
+    "[root_system]\nA2\n\n[polytope]\n-2 1\n-1 -1\n-1 2\n1 -2\n1 1\n2 -1\n\n"
+    "[crease]\ncorner = 1 1\nepsilon = 1/4\nslope = 1\nsymmetrize = true\n")
+
+A2_HEXAGON_FUTAKI_REPORT = (
+    "# Futaki invariant of the induced degeneration: minus_F1\n"
+    "root_system: A2\n"
+    "a: 56/3\n"
+    "bracket: 11007587/660602880\n"
+    "minus_F1: 11007587/182255616\n"
+    "mabuchi_linear_coefficient: 11007587/660602880 x (2*pi)^2\n"
+    "roof_R: 1\n"
+    "A: 233806679/1761607680\n"
+    "B: 90313287/73400320\n"
+    "C: 309/2240\n"
+    "D: 103/80\n"
+    "(AD-BC)/C^2: 11007587/182255616\n"
+    "note: certificate test functions are piecewise linear; they stand in for C^1 "
+    "potentials by approximation, so a negative value rules out "
+    "constant-scalar-curvature metrics in this class\n"
+    "VERDICT: non-negative\n")
+
+
 class TestFutaki:
     def test_a1_crease_report(self, a1_crease_file, capsys):
         rc = main(["futaki", "--in", a1_crease_file])
@@ -64,6 +87,12 @@ class TestFutaki:
         out = capsys.readouterr().out
         assert "(2*pi)^1" in out
         assert "mabuchi_linear_coefficient: 23/192" in out
+
+    def test_a2_hexagon_crease_report_bytes(self, tmp_path, capsys):
+        path = tmp_path / "hex.prob"
+        path.write_text(A2_HEXAGON_CREASE)
+        assert main(["futaki", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == A2_HEXAGON_FUTAKI_REPORT
 
 
 class TestOracleCommand:
@@ -199,3 +228,25 @@ class TestParseExitCodes:
         path = tmp_path / "grad.prob"
         path.write_text(A1_PL + "1 2 3\n")
         self.assert_parse_error(run_cli("futaki", "--in", str(path)), "line 11")
+
+    @pytest.mark.parametrize("spec", ["a:b", "1:2"])
+    def test_bad_progression(self, tmp_path, spec):
+        path = tmp_path / "a1.prob"
+        path.write_text(A1_PL)
+        proc = run_cli("hilbert", "--in", str(path), "--progression", spec)
+        self.assert_parse_error(proc, "bad progression", repr(spec))
+
+    def test_grid_chunk_without_value(self):
+        proc = run_cli("scan", "--family", "donaldson72", "--grid", "n=10;epsilon")
+        self.assert_parse_error(proc, "bad grid chunk 'epsilon'")
+
+
+class TestRootSystemLabel:
+    @pytest.mark.parametrize("label", ["B2", "toric:x", "toric:"])
+    def test_unsupported_label_exit_2(self, tmp_path, label):
+        path = tmp_path / "label.prob"
+        path.write_text(A1_PL.replace("A1", label))
+        proc = run_cli("futaki", "--in", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: unsupported root system label {label!r}"]

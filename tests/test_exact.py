@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kstab.errors import FitMismatch, KstabError
 from kstab.exact import (MPoly, det, integer_kernel, interpolate_univariate,
-                         poly_arith, primitive, rat_str, rational_kernel,
+                         primitive, rat_str, rational_kernel,
                          saturated_direction_basis, series_div, solve_linear,
                          upoly_eval)
 
@@ -29,22 +29,24 @@ class TestRatSerialization:
 
 class TestPolyArith:
     def test_add_cancellation(self):
-        p = poly_arith("add", x(), -1 * x())
+        p = x() + -1 * x()
         assert p.is_zero
 
     def test_binomial_square(self):
-        p = poly_arith("mul", x() + 1, x() + 1)
+        p = (x() + 1) * (x() + 1)
         assert p == x() ** 2 + 2 * x() + 1
 
     def test_affine_substitute_expansion(self):
         # x^2 under x -> x + y
-        p = poly_arith("affine_substitute", x() ** 2, ([[1, 1]], [0]))
+        p = (x() ** 2).substitute_affine([[1, 1]], [0])
         xx, yy = MPoly.var(2, 0), MPoly.var(2, 1)
         assert p == xx ** 2 + 2 * xx * yy + yy ** 2
 
     def test_variable_count_mismatch(self):
         with pytest.raises(KstabError):
-            poly_arith("add", x(), MPoly.var(2, 0))
+            x() + MPoly.var(2, 0)
+        with pytest.raises(KstabError):
+            x() * MPoly.var(2, 0)
 
 
 class TestHomogeneousPart:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import kstab.functionals
 from kstab.exact import MPoly
 from kstab.functionals import (VERDICT_NONNEGATIVE, VERDICT_ZERO,
                                abcd_coefficients, average_a, csc_verdict,
@@ -14,6 +15,7 @@ from kstab.polytope import chamber_intersect, dilate, hull_and_facets
 from kstab.plfunc import (corner_crease, pl_constant, pl_from_pieces,
                           symmetrize)
 from kstab.rootsys import build_root_system, weyl_orbit
+from kstab.scan import DEFAULT_GRIDS, scan_destabilizer
 
 
 def interval(a, b):
@@ -209,6 +211,42 @@ class TestVerdict:
     def test_report_documents_pl_approximation(self):
         rs, P, _ = a1_setup()
         assert "piecewise linear" in csc_verdict(rs, P, a1_crease()).note
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls kstab.functionals makes to one of its imports."""
+    calls = []
+    original = getattr(kstab.functionals, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kstab.functionals, name, counted)
+    return calls
+
+
+class TestSinglePass:
+    """Each integral over P+ is computed once per (P+, f), and the masses
+    of P+ once per P+."""
+
+    def test_verdict_integrates_once(self, monkeypatch):
+        boundary = count_calls(monkeypatch, "boundary_integral")
+        cells = count_calls(monkeypatch, "subdivision_from_pl")
+        rs, P, _ = a1_setup()
+        report = csc_verdict(rs, P, a1_crease())
+        assert report.minus_F1 == F(23, 128)
+        assert len(boundary) == 1
+        assert len(cells) == 1
+
+    def test_scan_integrates_masses_once_per_slice(self, monkeypatch):
+        boundary = count_calls(monkeypatch, "boundary_integral")
+        grid = dict(DEFAULT_GRIDS["pgl3"], s=[5, 20], n=[50])
+        result = scan_destabilizer("pgl3", grid)
+        assert len(result.rows) == 30
+        assert result.found_certificate
+        # one per (s, n) slice, plus one for the best row's report
+        assert len(boundary) == 3
 
 
 class TestConstantKernelCorpus:

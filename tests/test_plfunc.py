@@ -1,10 +1,13 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from kstab.errors import ValidationError
-from kstab.exact import dot
-from kstab.polytope import (CREASE, chamber_intersect, hull_and_facets,
+from kstab.exact import dot, vadd
+from kstab.generators import random_w_invariant_polytope
+from kstab.polytope import (CREASE, chamber_intersect, clip, hull_and_facets,
                             validate_complex)
 from kstab.plfunc import (build_test_polytope, corner_crease, eval_pl,
                           is_w_invariant_pl, max_on_polytope, pl_constant,
@@ -84,6 +87,27 @@ class TestInvariance:
     def test_toric_always_invariant(self):
         rs = build_root_system("toric:1")
         assert is_w_invariant_pl(rs, crease1d(F(1, 2)), interval(0, 2))
+
+    def test_matches_common_refinement_rule_random(self):
+        rng = random.Random(31)
+        verdicts = {kind: set() for kind in KINDS}
+        for label in ("A1", "A2"):
+            rs = build_root_system(label)
+            for kind in KINDS:
+                for _ in range(4):
+                    P = random_w_invariant_polytope(rs, rng, max_coord=3, max_vertices=6)
+                    f = random_pl(rs, P, rng, kind)
+                    got = is_w_invariant_pl(rs, f, P)
+                    assert got == invariant_by_common_refinement(rs, f, P), (label, kind, f)
+                    verdicts[kind].add(got)
+                    # the same f on a translate of P, which is not W-invariant
+                    shift = tuple(rng.choice((-1, 1)) for _ in range(rs.rank))
+                    Q = hull_and_facets([vadd(v, shift) for v in P.vertices])
+                    assert is_w_invariant_pl(rs, f, Q) == \
+                        invariant_by_common_refinement(rs, f, Q), (label, kind, f, shift)
+        assert verdicts["symmetrized"] == verdicts["dominated-piece"] == {True}
+        assert verdicts["interior-piece"] == {False}
+        assert False in verdicts["random"]
 
 
 class TestSubdivision:
@@ -227,3 +251,59 @@ class TestMaxAndBounds:
     def test_denominator_bound(self):
         f = pl_from_pieces(2, [(F(1, 6), (F(1, 4), 0)), (0, (0, 0))])
         assert f.denominator_bound == 12
+
+
+def invariant_by_common_refinement(rs, f, P):
+    """Reference rule: f and f ∘ w are both affine on every cell of the
+    common refinement of their linearity subdivisions, so they agree on P
+    exactly when they agree at all vertices of the refined cells."""
+    for mat in rs.generators:
+        g = f.compose_matrix(mat)
+        cells_f = subdivision_from_pl(P, f).cells
+        cells_g = subdivision_from_pl(P, g).cells
+        for (A, _), (B, _) in itertools.product(cells_f, cells_g):
+            for x in clip(A, [(ft.normal, ft.offset) for ft in B.facets]):
+                if eval_pl(f, x) != eval_pl(g, x):
+                    return False
+    return True
+
+
+KINDS = ("symmetrized", "random", "interior-piece", "dominated-piece")
+
+
+def random_pl(rs, P, rng, kind):
+    """A convex PL function on the W-invariant polytope P, of one kind.
+
+    symmetrized: invariant by construction.  random: a zero piece and two
+    random pieces.  interior-piece: the invariant max over the orbit of a
+    linear form, plus a piece that attains the max only inside P, so that
+    f agrees with f ∘ w at the vertices of P but not near the origin.
+    dominated-piece: a symmetrized function plus a piece that never attains
+    the max on P, so f ∘ w has a different piece set but the same values
+    on P.
+    """
+    r = rs.rank
+    zero = (0, (0,) * r)
+
+    def piece():
+        return (F(rng.randint(-12, 2), rng.randint(1, 4)),
+                tuple(rng.randint(-2, 2) for _ in range(r)))
+
+    def grad():
+        return tuple(rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(r))
+
+    if kind == "random":
+        return pl_from_pieces(r, [zero, piece(), piece()])
+    if kind == "symmetrized":
+        return symmetrize(rs, pl_from_pieces(r, [zero, piece()]))
+    if kind == "interior-piece":
+        f0 = symmetrize(rs, pl_from_pieces(r, [(0, grad())]))
+        g = tuple(F(x, 4) for x in grad())
+        c = min(eval_pl(f0, v) - dot(g, v) for v in P.vertices) / 2
+        return pl_from_pieces(r, list(f0.pieces) + [(c, g)])
+    f0 = symmetrize(rs, pl_from_pieces(r, [zero, piece()]))
+    g = grad()
+    low = -max(dot(g, v) for v in P.vertices) - rng.randint(1, 3)
+    f = pl_from_pieces(r, list(f0.pieces) + [(low, g)])
+    assert any(set(f.compose_matrix(m).pieces) != set(f.pieces) for m in rs.generators)
+    return f

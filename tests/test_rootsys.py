@@ -43,11 +43,13 @@ class TestBuild:
         assert (rs.d, rs.n) == (0, 2)
 
     def test_trivial_alias(self):
-        assert build_root_system("Trivial(2)").label == "toric:2"
+        with pytest.raises(KstabError, match="unsupported root system label"):
+            build_root_system("Trivial(2)")
 
     def test_unsupported(self):
-        with pytest.raises(KstabError):
-            build_root_system("B2")
+        for label in ("B2", "toric:x", "toric:", "toric:1/2"):
+            with pytest.raises(KstabError, match="unsupported root system label"):
+                build_root_system(label)
 
 
 class TestOrbit:
