@@ -196,7 +196,7 @@ def cmd_density(args) -> int:
     problem, rs, P = _load(args)
     Pplus = chamber_intersect(rs, P)
     step = parse_rat(args.grid) if args.grid else Fraction(1, 8)
-    scan = density_sign_scan(rs, Pplus, step)
+    scan = density_sign_scan(rs, Pplus, step, budget=args.budget)
     lines = ["point,sign"]
     for pt, sign in scan.rows:
         lines.append(" ".join(rat_str(x) for x in pt) + f",{sign}")

@@ -31,8 +31,9 @@ from fractions import Fraction
 from .errors import KstabError, ValidationError
 from .exact import rat, rat_str
 from .integrate import boundary_integral, face_integral, integrate_poly
-from .polytope import (OUTER, Polytope, chamber_intersect, contains,
-                       facet_polytope, is_w_invariant)
+from .oracle import DEFAULT_BUDGET, lattice_points
+from .polytope import (OUTER, Polytope, chamber_intersect, facet_polytope,
+                       is_w_invariant)
 from .plfunc import (PLFunction, is_w_invariant_pl, max_on_polytope,
                      piece_poly, subdivision_from_pl)
 from .rootsys import RootSystem
@@ -175,11 +176,14 @@ class DensityScan:
     vertex_signs: tuple[tuple[tuple[Fraction, ...], int], ...]
 
 
-def density_sign_scan(rs: RootSystem, Pplus: Polytope, grid_step) -> DensityScan:
+def density_sign_scan(rs: RootSystem, Pplus: Polytope, grid_step,
+                      budget: int = DEFAULT_BUDGET) -> DensityScan:
     """Exact sign table of the pointwise destabilizer density
     2*H_sub(x) - a*H_top(x) over a rational grid in the moment polytope.
 
-    Also reports the sign at every outer vertex (vertices not lying on a
+    The grid points are step * m for the lattice points m of P+ / step, in
+    lexicographic order; more than `budget` of them are refused.  Also
+    reports the sign at every outer vertex (vertices not lying on a
     chamber wall), where a negative density is the precondition for a
     corner crease to destabilize.
     """
@@ -188,25 +192,16 @@ def density_sign_scan(rs: RootSystem, Pplus: Polytope, grid_step) -> DensityScan
         raise KstabError("grid step must be positive")
     a = average_a(rs, Pplus)
     density = 2 * rs.H_sub - a * rs.H_top
-    los = [min(v[i] for v in Pplus.vertices) for i in range(Pplus.ambient)]
-    his = [max(v[i] for v in Pplus.vertices) for i in range(Pplus.ambient)]
-    ranges = []
-    for lo, hi in zip(los, his):
-        start = -((-lo) // step)  # ceil(lo / step)
-        stop = hi // step         # floor(hi / step)
-        ranges.append([step * k for k in range(int(start), int(stop) + 1)])
-    rows = []
-    negatives = 0
+
     def _sign(q: Fraction) -> int:
         return (q > 0) - (q < 0)
-    points = [()]
-    for axis in ranges:
-        points = [p + (x,) for p in points for x in axis]
-    for pt in points:
-        if contains(Pplus, pt):
-            s = _sign(density.evaluate(pt))
-            rows.append((pt, s))
-            negatives += s < 0
+    rows = []
+    negatives = 0
+    for m in lattice_points(Pplus, 1 / step, budget):
+        pt = tuple(step * x for x in m)
+        s = _sign(density.evaluate(pt))
+        rows.append((pt, s))
+        negatives += s < 0
     vertex_signs = []
     for v in Pplus.vertices:
         if rs.wall_normals and any(sum(Fraction(w[i]) * v[i] for i in range(len(v))) == 0

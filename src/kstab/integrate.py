@@ -2,8 +2,12 @@
 
 Interior integrals use the lattice Euclidean measure; face integrals use
 the measure normalized by the saturated direction lattice of the face, so
-no square roots ever appear.  Each polytope is triangulated by pulling
-from its lexicographically smallest vertex, each simplex is mapped to the
+no square roots ever appear.  Each polytope gets the pulling
+triangulation of every face: it is coned from its lexicographically
+smallest vertex over the triangulations of the facets that miss that
+vertex, each pulled in turn from its own smallest vertex, down to edges.
+Faces are read off the vertex-facet incidences (`polytope.tight_sets`),
+so one code path serves every dimension.  Each simplex is mapped to the
 standard simplex by an exact affine substitution, and monomials are
 integrated by the closed form
 
@@ -19,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KstabError
-from .exact import MPoly, Vec, det, dot, vsub
-from .polytope import (OUTER, Facet, Polytope, facet_polytope, facet_vertices,
-                       _hull_ring_2d)
+from .exact import MPoly, Vec, det, vsub
+from .polytope import OUTER, Polytope, facet_polytope, tight_sets
 
 
 @dataclass(frozen=True)
@@ -33,51 +36,37 @@ class SimplexDecomposition:
 def triangulate(P: Polytope, pull: Vec | None = None) -> SimplexDecomposition:
     """Pulling triangulation of a full-dimensional polytope.
 
-    Deterministic: the pulling vertex defaults to the lexicographically
-    smallest one.  The optional `pull` argument exists so tests can verify
-    triangulation independence of the integrals.
+    A face with at most two vertices is its own simplex.  A larger face is
+    the cone from its pulling vertex over the triangulations of its facets
+    that miss that vertex, each facet pulled from its own smallest vertex;
+    the facets of a face are its maximal proper vertex sets shared with a
+    facet of P.  Deterministic: the pulling vertex of P defaults to the
+    lexicographically smallest one.  The optional `pull` argument exists
+    so tests can verify triangulation independence of the integrals.
     """
     if not P.is_full_dim:
         raise KstabError("triangulate expects the full-dimensional form")
     v0 = P.vertices[0] if pull is None else tuple(Fraction(x) for x in pull)
     if v0 not in P.vertices:
         raise KstabError("pulling point must be a vertex")
-    d = P.dim
-    if d == 0:
-        raise KstabError("cannot triangulate a point")
-    if d == 1:
-        return SimplexDecomposition((tuple(sorted(P.vertices)),), v0)
-    simplices: list[tuple[Vec, ...]] = []
-    for facet in P.facets:
-        if dot(facet.normal, v0) == facet.offset:
-            continue  # facets through the pulling vertex contribute nothing
-        fverts = facet_vertices(P, facet)
-        if d == 2:
-            simplices.append((v0, fverts[0], fverts[1]))
-        else:
-            for tri in _facet_triangles_3d(P, facet):
-                simplices.append((v0,) + tri)
-    return SimplexDecomposition(tuple(simplices), v0)
+    tight = list(tight_sets(P).values())  # in P.vertices order
 
+    def cone(face: tuple[int, ...], apex: int) -> list[tuple[int, ...]]:
+        # face: ascending indices into the lex-sorted P.vertices
+        if len(face) <= 2:
+            return [face]
+        shared = {frozenset(j for j in face if i in tight[j])
+                  for i in frozenset().union(*(tight[j] for j in face))}
+        shared.discard(frozenset(face))
+        out = []
+        for sub in sorted(tuple(sorted(S)) for S in shared
+                          if apex not in S and not any(S < o for o in shared)):
+            out.extend((apex,) + s for s in cone(sub, sub[0]))
+        return out
 
-def _facet_triangles_3d(P: Polytope, facet: Facet) -> list[tuple[Vec, Vec, Vec]]:
-    """Fan triangulation of a 2-face of a 3-polytope, pulled from its
-    lexicographically smallest vertex."""
-    F = facet_polytope(P, facet)
-    ring = _hull_ring_2d(list(F.inner.vertices))
-    lift = {t: v for t, v in _chart_pairs(F)}
-    ring3 = [lift[t] for t in ring]
-    base = min(ring3)
-    bi = ring3.index(base)
-    ring3 = ring3[bi:] + ring3[:bi]
-    return [(ring3[0], ring3[i], ring3[i + 1]) for i in range(1, len(ring3) - 1)]
-
-
-def _chart_pairs(F: Polytope):
-    from .polytope import affine_coords
-    for v in F.vertices:
-        t = affine_coords(F.chart_anchor, F.chart_basis, v)
-        yield t, v
+    simplices = cone(tuple(range(len(P.vertices))), P.vertices.index(v0))
+    return SimplexDecomposition(
+        tuple(tuple(P.vertices[j] for j in s) for s in simplices), v0)
 
 
 def integrate_simplex(verts: tuple[Vec, ...], g: MPoly) -> Fraction:

@@ -2,7 +2,9 @@
 
 Nothing in this module reuses the closed-form integrals: dimensions d_k
 and total weights w_k are obtained by direct enumeration of lattice points
-of dilated polytopes, fitted to exact polynomials along an arithmetic
+of dilated polytopes, with one walker for every dimension (the bounding
+box of the leading coordinates, and the exact integer range of the last
+one).  The sums are fitted to exact polynomials along an arithmetic
 progression (the dilates of a non-lattice chamber cut are only
 quasi-polynomial, so the progression step clears every denominator in
 sight and the fit is verified on held-out samples).  The Futaki invariant
@@ -17,6 +19,7 @@ acceptance check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,46 +65,28 @@ def _axis_interval(constraints, fixed: tuple[int, ...]):
     return lo, hi
 
 
-def lattice_points(P: Polytope, k: int, budget: int = DEFAULT_BUDGET):
-    """Iterate the lattice points of the dilate k*P, refusing past budget."""
+def lattice_points(P: Polytope, k, budget: int = DEFAULT_BUDGET):
+    """Iterate the lattice points of the dilate k*P in lexicographic order,
+    refusing past budget; k is any positive rational."""
     if not P.is_full_dim:
         raise KstabError("lattice enumeration expects a full-dimensional polytope")
+    k = rat(k)
     cons = [(f.normal, k * f.offset) for f in P.facets]
-    los = [min(v[i] for v in P.vertices) * k for i in range(P.ambient)]
-    his = [max(v[i] for v in P.vertices) * k for i in range(P.ambient)]
-    count = 0
-
-    def bump():
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise BudgetError(
-                f"lattice enumeration exceeds the budget of {budget} points at k={k}")
-
-    if P.ambient == 1:
-        lo, hi = _axis_interval(cons, ())
-        for x in range(lo, hi + 1):
-            bump()
-            yield (x,)
-        return
     outer_ranges = []
     for i in range(P.ambient - 1):
-        lo = -((-los[i].numerator) // los[i].denominator)
-        hi = his[i].numerator // his[i].denominator
-        outer_ranges.append(range(lo, hi + 1))
-    if P.ambient == 2:
-        for x in outer_ranges[0]:
-            lo, hi = _axis_interval(cons, (x,))
-            for y in range(lo, hi + 1):
-                bump()
-                yield (x, y)
-        return
-    for x in outer_ranges[0]:
-        for y in outer_ranges[1]:
-            lo, hi = _axis_interval(cons, (x, y))
-            for z in range(lo, hi + 1):
-                bump()
-                yield (x, y, z)
+        lo = min(v[i] for v in P.vertices) * k
+        hi = max(v[i] for v in P.vertices) * k
+        outer_ranges.append(range(-((-lo.numerator) // lo.denominator),
+                                  hi.numerator // hi.denominator + 1))
+    count = 0
+    for prefix in itertools.product(*outer_ranges):
+        lo, hi = _axis_interval(cons, prefix)
+        for x in range(lo, hi + 1):
+            count += 1
+            if count > budget:
+                raise BudgetError(
+                    f"lattice enumeration exceeds the budget of {budget} points at k={k}")
+            yield prefix + (x,)
 
 
 def weighted_lattice_sum(rs: RootSystem, P: Polytope, k: int, weight="H",

@@ -329,6 +329,14 @@ def vertices_from_halfspaces(halfspaces, ambient: int) -> list[Vec]:
     return sorted(out)
 
 
+def tight_sets(P: Polytope) -> dict[Vec, frozenset[int]]:
+    """Map each vertex of a full-dimensional P to the indices of the facets
+    through it."""
+    return {v: frozenset(i for i, f in enumerate(P.facets)
+                         if sum(n * x for n, x in zip(f.normal, v)) == f.offset)
+            for v in P.vertices}
+
+
 def clip(P: Polytope, halfspaces) -> list[Vec]:
     """Vertices of P cut by halfspaces <n, x> >= c, lex-sorted; [] if empty.
 
@@ -344,9 +352,7 @@ def clip(P: Polytope, halfspaces) -> list[Vec]:
     """
     if not P.is_full_dim:
         raise KstabError("clip expects a full-dimensional polytope")
-    verts = [(v, frozenset(i for i, f in enumerate(P.facets)
-                           if dot(f.normal, v) == f.offset))
-             for v in P.vertices]
+    verts = list(tight_sets(P).items())
     for idx, (n, c) in enumerate(halfspaces, start=len(P.facets)):
         side = [dot(n, v) - c for v, _ in verts]
         inside = [(v, T, s) for (v, T), s in zip(verts, side) if s > 0]

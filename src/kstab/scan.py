@@ -125,7 +125,15 @@ def scan_destabilizer(family: str, grid: dict | None = None) -> ScanResult:
     missing = [a for a in axes if a not in grid_in]
     if missing:
         raise KstabError(f"grid is missing axes {missing}")
+    unknown = [a for a in grid_in if a not in axes]
+    if unknown:
+        raise ParseError(f"family {family!r} has no grid axes {unknown}; "
+                         f"its axes are {list(axes)}")
     axis_values = [[rat(v) for v in grid_in[a]] for a in axes]
+    if "n" in axes:
+        bad = [rat_str(v) for v in axis_values[axes.index("n")] if v.denominator != 1]
+        if bad:
+            raise ParseError(f"grid axis 'n' takes integers, got {bad}")
     rows: list[ScanRow] = []
     best_idx: int | None = None
     cache: dict[tuple, tuple] = {}

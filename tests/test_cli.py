@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import kstab
 from kstab.cli import main
+from kstab.errors import ParseError
 from kstab.problemfile import parse_problem
 from kstab.scan import parse_grid, scan_destabilizer
 
@@ -126,6 +128,35 @@ class TestDensity:
         out = capsys.readouterr().out
         assert "1,-1" in out  # density 4x-9x^2 is negative at x=1
 
+    # sha256 of stdout, frozen from the bounding-box grid scan that the
+    # lattice walker replaced
+    @pytest.mark.parametrize("grid,digest", [
+        (None, "e2813c0f8089b0d126dd8186dbf38ebc05af676b9a94bb96f1a1767c499fe498"),
+        ("1/3", "5610fe821c2c30ee2b58ca5065ead6988a14a59b4cb9753b9c229090248fa5cf"),
+    ])
+    def test_a2_hexagon_bytes(self, hexagon_file, capsys, grid, digest):
+        argv = ["density", "--in", hexagon_file] + (["--grid", grid] if grid else [])
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_pgl3_bytes(self, tmp_path, capsys):
+        path = str(tmp_path / "pgl3.prob")
+        assert main(["gen-example", "--family", "pgl3", "--out", path]) == 0
+        assert main(["density", "--in", path, "--grid", "1/4"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 645
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == "3507e223fb8f7f23afe726ec3a4e2c0a1dc979e2b87e4a07cfdb84d9c73b1981"
+
+    def test_budget_exit_3(self, tmp_path):
+        path = str(tmp_path / "pgl3.prob")
+        assert main(["gen-example", "--family", "pgl3", "--out", path]) == 0
+        proc = run_cli("density", "--in", path, "--grid", "1/4", "--budget", "5")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("budget refusal:")
+
 
 class TestLift:
     def test_a1_lift_report(self, a1_crease_file, capsys):
@@ -239,6 +270,21 @@ class TestParseExitCodes:
     def test_grid_chunk_without_value(self):
         proc = run_cli("scan", "--family", "donaldson72", "--grid", "n=10;epsilon")
         self.assert_parse_error(proc, "bad grid chunk 'epsilon'")
+
+    def test_non_integer_n(self):
+        proc = run_cli("scan", "--family", "donaldson72",
+                       "--grid", "n=21/2;epsilon=1/16;slope=1")
+        self.assert_parse_error(proc, "'n'", "21/2")
+        with pytest.raises(ParseError):
+            scan_destabilizer("pgl3", parse_grid("s=5;n=10,21/2;epsilon=1/16;slope=1"))
+
+    @pytest.mark.parametrize("family,spec,axis", [
+        ("donaldson72", "n=10;epsilon=1/8;slope=1;bogus=3", "bogus"),
+        ("donaldson72", "s=5;n=10;epsilon=1/8;slope=1", "'s'"),
+        ("wonderful-a1", "s=1;n=10;epsilon=1/8;slope=1", "'n'"),
+    ])
+    def test_unknown_grid_axis(self, family, spec, axis):
+        self.assert_parse_error(run_cli("scan", "--family", family, "--grid", spec), axis)
 
 
 class TestRootSystemLabel:

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from kstab.exact import MPoly
+from kstab.exact import MPoly, dot
 from kstab.integrate import (boundary_integral, face_integral, integrate_poly,
                              triangulate, volume)
-from kstab.polytope import (chamber_intersect, dilate, facet_polytope,
+from kstab.polytope import (_hull_ring_2d, affine_coords, chamber_intersect,
+                            dilate, facet_polytope, facet_vertices,
                             hull_and_facets)
 from kstab.rootsys import build_root_system, weyl_orbit
 
@@ -34,6 +36,79 @@ class TestTriangulate:
     def test_cube_simplices_cover_volume(self):
         cube = hull_and_facets([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
         assert volume(cube) == 1
+
+
+def fan_triangulation(P, v0):
+    """Reference: the per-dimension fan triangulation pulled from v0.
+
+    A segment is its own simplex; in 2-D each edge missing v0 is coned from
+    v0; in 3-D each facet missing v0 is fanned from its smallest vertex
+    around its 2-D hull ring (in chart coordinates), then coned from v0.
+    Simplices come back as vertex sets.
+    """
+    if P.dim == 1:
+        return {frozenset(P.vertices)}
+    out = set()
+    for facet in P.facets:
+        if dot(facet.normal, v0) == facet.offset:
+            continue
+        fverts = facet_vertices(P, facet)
+        if P.dim == 2:
+            out.add(frozenset((v0,) + fverts))
+            continue
+        Fc = facet_polytope(P, facet)
+        lift = {affine_coords(Fc.chart_anchor, Fc.chart_basis, v): v
+                for v in Fc.vertices}
+        ring = [lift[t] for t in _hull_ring_2d(list(Fc.inner.vertices))]
+        i = ring.index(min(ring))
+        ring = ring[i:] + ring[:i]
+        for a, b in zip(ring[1:], ring[2:]):
+            out.add(frozenset((v0, ring[0], a, b)))
+    return out
+
+
+def random_polytopes(seed, dims, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = dims[len(out) % len(dims)]
+        den = rng.choice((1, 2, 3))  # small grids make coplanar facets likely
+        pts = [tuple(F(rng.randint(-3, 3), den) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 6))]
+        P = hull_and_facets(pts)
+        if P.is_full_dim:
+            out.append(P)
+    return out
+
+
+CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+# a hexagonal prism capped by a pyramid: rectangle, hexagon and triangle facets
+PRISM_PYRAMID = [(x, y, z) for x, y in [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
+                 for z in (0, 3)] + [(0, 0, 5)]
+
+
+class TestTriangulateMatchesFan:
+    @pytest.mark.parametrize("pts", [[(F(-1, 2),), (3,)], UNIT_SQUARE, CUBE, PRISM_PYRAMID],
+                             ids=["segment", "square", "cube", "prism-pyramid"])
+    def test_named(self, pts):
+        P = hull_and_facets(pts)
+        for pull in P.vertices:
+            dec = triangulate(P, pull=pull)
+            got = [frozenset(s) for s in dec.simplices]
+            assert len(got) == len(set(got))
+            assert set(got) == fan_triangulation(P, pull)
+
+    def test_random_2d_and_3d(self):
+        cases = random_polytopes(11, (2, 3), 40)
+        non_triangular = 0
+        for P in cases:
+            non_triangular += P.dim == 3 and any(
+                len(facet_vertices(P, f)) > 3 for f in P.facets)
+            for pull in P.vertices:
+                got = [frozenset(s) for s in triangulate(P, pull=pull).simplices]
+                assert len(got) == len(set(got))
+                assert set(got) == fan_triangulation(P, pull), (P.vertices, pull)
+        assert non_triangular >= 3
 
 
 class TestIntegratePoly:

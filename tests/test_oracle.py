@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +9,9 @@ from kstab.errors import BudgetError, KstabError
 from kstab.exact import MPoly, upoly_eval
 from kstab.functionals import futaki_minus_F1, stability_bracket
 from kstab.integrate import boundary_integral, integrate_poly
-from kstab.oracle import (fit_series, lemma_check, oracle_futaki,
-                          required_step, weighted_lattice_sum)
-from kstab.polytope import chamber_intersect, hull_and_facets
+from kstab.oracle import (fit_series, lattice_points, lemma_check,
+                          oracle_futaki, required_step, weighted_lattice_sum)
+from kstab.polytope import chamber_intersect, contains, hull_and_facets
 from kstab.plfunc import pl_constant, pl_from_pieces, symmetrize
 from kstab.rootsys import build_root_system, weyl_orbit
 
@@ -59,6 +62,47 @@ class TestWeightedSums:
                                 for c in (0, 1)])
         for k in (1, 2, 5):
             assert weighted_lattice_sum(rs, cube, k, "one") == (k + 1) ** 3
+
+
+def brute_force_points(P, k):
+    """Reference: the bounding box of k*P filtered by membership, in
+    lexicographic order."""
+    box = [range(math.ceil(min(v[i] for v in P.vertices) * k),
+                 math.floor(max(v[i] for v in P.vertices) * k) + 1)
+           for i in range(P.ambient)]
+    return [m for m in itertools.product(*box)
+            if contains(P, tuple(F(x) / k for x in m))]
+
+
+class TestLatticeWalker:
+    def test_matches_brute_force_random(self):
+        rng = random.Random(5)
+        cases = 0
+        while cases < 60:
+            d = 1 + cases % 3
+            pts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+                   for _ in range(rng.randint(d + 1, d + 4))]
+            P = hull_and_facets(pts)
+            if not P.is_full_dim:
+                continue
+            for k in (1, 2, F(1, 2), F(5, 3)):
+                assert list(lattice_points(P, k)) == brute_force_points(P, k), \
+                    (P.vertices, k)
+            cases += 1
+
+    def test_budget_counts_points(self):
+        P = hull_and_facets([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, F(5, 2))])
+        want = brute_force_points(P, F(3, 2))
+        assert list(lattice_points(P, F(3, 2), budget=len(want))) == want
+        walker = lattice_points(P, F(3, 2), budget=len(want) - 1)
+        got = [next(walker) for _ in range(len(want) - 1)]
+        assert got == want[:-1]
+        with pytest.raises(BudgetError, match=f"budget of {len(want) - 1} points"):
+            next(walker)
+
+    def test_lower_dimensional_rejected(self):
+        with pytest.raises(KstabError):
+            list(lattice_points(hull_and_facets([(0, 0), (1, 1)]), 1))
 
 
 class TestFitSeries:
