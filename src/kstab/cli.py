@@ -68,6 +68,9 @@ def _parse_progression(spec: str | None):
         k0, step, count = (int(x) for x in spec.split(":"))
     except ValueError:
         raise ParseError(f"bad progression {spec!r}; expected k0:step:count") from None
+    if k0 < 0 or step < 1 or count < 1:
+        raise ParseError(f"bad progression {spec!r}; "
+                         "need k0 >= 0, step >= 1 and count >= 1")
     return k0, step, count
 
 

@@ -210,18 +210,32 @@ class MPoly:
         """Sum of the terms of total degree exactly d (zero if none)."""
         return MPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
+    def integer_terms(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(D, terms scaled by D): D is the least common denominator of the
+        coefficients, so every scaled coefficient is an integer."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+
     def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point, in integer arithmetic over one
+        common denominator for the coefficients and the coordinates."""
         pt = [rat(x) for x in point]
         if len(pt) != self.nvars:
             raise KstabError("evaluation point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for x, k in zip(pt, e):
+        if not self.terms:
+            return Fraction(0)
+        q = math.lcm(*(x.denominator for x in pt))
+        xs = [x.numerator * (q // x.denominator) for x in pt]
+        deg = self.degree()
+        den, terms = self.integer_terms()
+        total = 0
+        for e, c in terms.items():
+            val = c * q ** (deg - sum(e))
+            for x, k in zip(xs, e):
                 if k:
                     val *= x ** k
             total += val
-        return total
+        return Fraction(total, den * q ** deg)
 
     def substitute_affine(self, rows: Sequence[Sequence], offset: Sequence) -> "MPoly":
         """Compose with an affine map: x_i = offset_i + sum_j rows[i][j] * t_j.

@@ -1,10 +1,18 @@
 """First-principles verification by weighted lattice-point sums.
 
 Nothing in this module reuses the closed-form integrals: dimensions d_k
-and total weights w_k are obtained by direct enumeration of lattice points
-of dilated polytopes, with one walker for every dimension (the bounding
-box of the leading coordinates, and the exact integer range of the last
-one).  The sums are fitted to exact polynomials along an arithmetic
+and total weights w_k are exact sums over the lattice points of dilated
+polytopes.  One walker serves every dimension: it runs over the bounding
+box of the leading coordinates and yields each non-empty fiber, the exact
+integer range of the last coordinate, computed in integers.  A weight
+sum never visits single points: the weight, scaled to integer
+coefficients over one common denominator, restricts on each fiber to an
+integer polynomial, which is summed in closed form by its forward
+differences (power sums; Beck-Robins, Computing the Continuous
+Discretely, ch. 2), and the lifted weight is split where its minimizing
+piece changes.  One Fraction is built per sum.  The budget still counts
+points, fiber by fiber, so a sum refuses exactly the dilates that
+`lattice_points` refuses, with the same message.  The sums are fitted to exact polynomials along an arithmetic
 progression (the dilates of a non-lattice chamber cut are only
 quasi-polynomial, so the progression step clears every denominator in
 sight and the fit is verified on held-out samples).  The Futaki invariant
@@ -20,12 +28,13 @@ acceptance check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, FitMismatch, KstabError
-from .exact import (MPoly, dot, interpolate_univariate, lcm_denominators,
-                    rat, series_div)
+from .exact import (MPoly, interpolate_univariate, lcm_denominators, rat,
+                    series_div)
 from .polytope import Polytope
 from .plfunc import PLFunction, max_on_polytope, subdivision_from_pl
 from .rootsys import RootSystem
@@ -36,93 +45,176 @@ DEFAULT_BUDGET = 10 ** 7
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
-def _axis_interval(constraints, fixed: tuple[int, ...]):
+def _axis_interval(constraints, prefix: tuple[int, ...]) -> tuple[int, int]:
     """Integer range of the last coordinate given the leading ones.
 
-    constraints: list of (normal, offset) meaning <normal, x> >= offset.
+    constraints: list of integer (normal, offset) meaning <normal, x> >= offset.
     Returns (lo, hi) integer bounds, possibly an empty range.
     """
-    lo_bound = None
-    hi_bound = None
+    lo = hi = None
     for n, c in constraints:
-        rest = c - sum(Fraction(a) * b for a, b in zip(n[:-1], fixed))
-        coef = Fraction(n[-1])
+        rest = c - sum(a * b for a, b in zip(n, prefix))  # zip stops before n[-1]
+        coef = n[-1]
         if coef > 0:
-            val = rest / coef
-            if lo_bound is None or val > lo_bound:
-                lo_bound = val
+            val = -(-rest // coef)
+            if lo is None or val > lo:
+                lo = val
         elif coef < 0:
-            val = rest / coef
-            if hi_bound is None or val < hi_bound:
-                hi_bound = val
-        else:
-            if rest > 0:
-                return 1, 0  # infeasible prefix
-    if lo_bound is None or hi_bound is None:
+            val = rest // coef
+            if hi is None or val < hi:
+                hi = val
+        elif rest > 0:
+            return 1, 0  # infeasible prefix
+    if lo is None or hi is None:
         raise KstabError("unbounded lattice enumeration")
-    lo = -((-lo_bound.numerator) // lo_bound.denominator)
-    hi = hi_bound.numerator // hi_bound.denominator
     return lo, hi
 
 
-def lattice_points(P: Polytope, k, budget: int = DEFAULT_BUDGET):
-    """Iterate the lattice points of the dilate k*P in lexicographic order,
-    refusing past budget; k is any positive rational."""
+def _fibers(P: Polytope, k):
+    """The non-empty lines of lattice points of k*P along the last
+    coordinate, as (prefix, lo, hi) in lexicographic order; k is any
+    non-negative rational."""
     if not P.is_full_dim:
         raise KstabError("lattice enumeration expects a full-dimensional polytope")
     k = rat(k)
-    cons = [(f.normal, k * f.offset) for f in P.facets]
+    cons = []
+    for f in P.facets:
+        c = k * f.offset
+        cons.append((tuple(a * c.denominator for a in f.normal), c.numerator))
     outer_ranges = []
     for i in range(P.ambient - 1):
         lo = min(v[i] for v in P.vertices) * k
         hi = max(v[i] for v in P.vertices) * k
         outer_ranges.append(range(-((-lo.numerator) // lo.denominator),
                                   hi.numerator // hi.denominator + 1))
-    count = 0
     for prefix in itertools.product(*outer_ranges):
         lo, hi = _axis_interval(cons, prefix)
+        if lo <= hi:
+            yield prefix, lo, hi
+
+
+def _over_budget(budget: int, k) -> BudgetError:
+    return BudgetError(
+        f"lattice enumeration exceeds the budget of {budget} points at k={rat(k)}")
+
+
+def lattice_points(P: Polytope, k, budget: int = DEFAULT_BUDGET):
+    """Iterate the lattice points of the dilate k*P in lexicographic order,
+    refusing past budget; k is any non-negative rational."""
+    count = 0
+    for prefix, lo, hi in _fibers(P, k):
         for x in range(lo, hi + 1):
             count += 1
             if count > budget:
-                raise BudgetError(
-                    f"lattice enumeration exceeds the budget of {budget} points at k={k}")
+                raise _over_budget(budget, k)
             yield prefix + (x,)
 
 
-def weighted_lattice_sum(rs: RootSystem, P: Polytope, k: int, weight="H",
+# ---------------------------------------------------------------------------
+# closed-form sums along a fiber
+
+def _restrict(terms, prefix: tuple[int, ...], deg: int) -> list[int]:
+    """Coefficients, low degree first, of the integer polynomial
+    x -> sum of c * m(prefix, x) over the (exponent, c) terms."""
+    out = [0] * (deg + 1)
+    for e, c in terms:
+        for p, m in zip(prefix, e):
+            if m:
+                c *= p ** m
+        out[e[-1]] += c
+    return out
+
+
+def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
+    """Coefficients of (a + b*x) * p(x)."""
+    return [a * c1 + b * c0 for c0, c1 in zip([0] + coeffs, coeffs + [0])]
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _line_sum(coeffs: list[int], lo: int, hi: int) -> int:
+    """p(lo) + ... + p(hi) for an integer polynomial p, exactly: the
+    Newton forward-difference form sum_i (Delta^i p)(lo) * C(n, i+1) with
+    n = hi - lo + 1 (Beck-Robins, ch. 2), or directly for short lines."""
+    n = hi - lo + 1
+    if n <= len(coeffs):
+        return sum(_horner(coeffs, x) for x in range(lo, hi + 1))
+    vals = [_horner(coeffs, lo + t) for t in range(len(coeffs))]
+    total = 0
+    for i in range(len(coeffs)):
+        total += vals[0] * math.comb(n, i + 1)
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return total
+
+
+def _min_segments(lines, lo: int, hi: int):
+    """Split lo..hi where the minimum of the affine functions a + b*x
+    (integer a, b) changes piece; yields (a, b, start, end).  Among pieces
+    tied at a start the one of least slope is taken, which stays minimal
+    longest; any tied piece gives the same values."""
+    x = lo
+    while x <= hi:
+        a, b = min(lines, key=lambda ab: (ab[0] + ab[1] * x, ab[1]))
+        end = hi
+        for a2, b2 in lines:
+            if b2 < b:  # a2 + b2*y < a + b*y exactly for y > (a2 - a)/(b - b2)
+                end = min(end, (a2 - a) // (b - b2))
+        yield a, b, x, end
+        x = end + 1
+
+
+def weighted_lattice_sum(rs: RootSystem, P: Polytope, k, weight="H",
                          f: PLFunction | None = None, R=None,
                          budget: int = DEFAULT_BUDGET) -> Fraction:
     """Sum over the lattice points of k*P of a pointwise weight.
 
     weight: "one", "H", an arbitrary MPoly, or "lifted" for
     H(lambda) * (k*R - k*f(lambda/k)), the total weight of the induced
-    one-parameter action.  The lifted weight evaluates k*f(lambda/k) as
-    max over pieces of (k*const + <gradient, lambda>), which is exact with
-    no division.
+    one-parameter action.  The lifted weight is H times the minimum over
+    pieces of (k*R - k*const - <gradient, lambda>), which is exact with
+    no division.  Each fiber is summed in closed form in integers, over
+    the common denominators of the weight and the pieces; the budget
+    counts the points of the fibers.
     """
     if isinstance(weight, MPoly):
         poly = weight
     elif weight == "one":
         poly = MPoly.const(P.ambient, 1)
-    elif weight == "H":
+    elif weight in ("H", "lifted"):
         poly = rs.H
-    elif weight == "lifted":
-        if f is None or R is None:
-            raise KstabError("lifted weight needs f and R")
-        R = rat(R)
-        poly = None
     else:
         raise KstabError(f"unknown weight {weight!r}")
-    total = Fraction(0)
-    if poly is not None:
-        for lam in lattice_points(P, k, budget):
-            total += poly.evaluate(lam)
-        return total
-    pieces = [(k * c, g) for c, g in f.pieces]
-    for lam in lattice_points(P, k, budget):
-        kf = max(c + dot(g, lam) for c, g in pieces)
-        total += rs.H.evaluate(lam) * (k * R - kf)
-    return total
+    den, scaled = poly.integer_terms()
+    terms = list(scaled.items())
+    deg = max((e[-1] for e, _ in terms), default=0)
+    lifted = weight == "lifted"
+    scale = 1
+    if lifted:
+        if f is None or R is None:
+            raise KstabError("lifted weight needs f and R")
+        k, R = rat(k), rat(R)
+        pieces = [(k * R - k * c, g) for c, g in f.pieces]
+        scale = lcm_denominators([x for a, g in pieces for x in (a, *g)])
+        pieces = [(int(a * scale), [int(x * scale) for x in g]) for a, g in pieces]
+    total = 0
+    count = 0
+    for prefix, lo, hi in _fibers(P, k):
+        count += hi - lo + 1
+        if count > budget:
+            raise _over_budget(budget, k)
+        p = _restrict(terms, prefix, deg)
+        if lifted:
+            lines = [(a - sum(x * y for x, y in zip(g, prefix)), -g[-1]) for a, g in pieces]
+            for a, b, x0, x1 in _min_segments(lines, lo, hi):
+                total += _line_sum(_times_linear(p, a, b), x0, x1)
+        else:
+            total += _line_sum(p, lo, hi)
+    return Fraction(total, den * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +273,9 @@ def fit_series(rs: RootSystem, Pplus: Polytope, f: PLFunction | None = None,
     k0 = step
     if progression is not None:
         k0, step_req, count = progression
+        if k0 < 0 or step_req < 1 or count < 1:
+            raise KstabError(f"bad progression {k0}:{step_req}:{count}; "
+                             "need k0 >= 0, step >= 1 and count >= 1")
         if step_req % step:
             raise KstabError(
                 f"progression step {step_req} is not a multiple of the required step {step}")

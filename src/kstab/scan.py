@@ -124,7 +124,7 @@ def scan_destabilizer(family: str, grid: dict | None = None) -> ScanResult:
     axes = _AXES[family]
     missing = [a for a in axes if a not in grid_in]
     if missing:
-        raise KstabError(f"grid is missing axes {missing}")
+        raise ParseError(f"grid is missing axes {missing}")
     unknown = [a for a in grid_in if a not in axes]
     if unknown:
         raise ParseError(f"family {family!r} has no grid axes {unknown}; "

@@ -97,6 +97,23 @@ class TestFutaki:
         assert capsys.readouterr().out == A2_HEXAGON_FUTAKI_REPORT
 
 
+# `kstab hilbert --progression 0:4:12` on A2_HEXAGON_CREASE, frozen from the
+# point-by-point lattice sums that the fiber sums replaced
+A2_HEXAGON_HILBERT_REPORT = (
+    "progression: 0:4:12\n"
+    "verified_from: 0\n"
+    "d_values: 1 72415 6945375 125180809 1043199237 5567894299 22225431475 72310336085 "
+    "202129486889 502552142839 1138341641767 2390108921025\n"
+    "fitted_d: 1 113/20 24137/1680 1717/80 6603/320 131/10 2573/480 103/80 309/2240\n"
+    "leading_coefficient: 309/2240\n"
+    "H_top_mass: 309/2240\n"
+    "H_top_boundary_mass[outer]: 103/280\n"
+    "w_values: 0 56790 11370730 311260604 3479231302 23294192779 111841278592 425227684835 "
+    "1360141679608 3808107419874 9591690456678 22167094811224\n"
+    "fitted_w: 0 -13/210 1541/13440 25547/21504 344383/122880 3345073/983040 801563/327680 "
+    "11737135/11010048 19436103/73400320 51551063/1761607680\n")
+
+
 class TestOracleCommand:
     def test_agreement(self, a1_crease_file, capsys):
         rc = main(["oracle-futaki", "--in", a1_crease_file])
@@ -108,6 +125,18 @@ class TestOracleCommand:
     def test_budget_exit_3(self, a1_crease_file, capsys):
         rc = main(["oracle-futaki", "--in", a1_crease_file, "--budget", "3"])
         assert rc == 3
+
+    def test_a2_hexagon_budget_refusal(self, tmp_path):
+        # 1233 points at k = 28 exceed the budget, 913 at k = 24 do not;
+        # the line is frozen from the point-by-point walker
+        path = tmp_path / "hex.prob"
+        path.write_text(A2_HEXAGON_CREASE)
+        proc = run_cli("oracle-futaki", "--in", str(path), "--progression", "0:4:12",
+                       "--budget", "1000")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("budget refusal: lattice enumeration exceeds the budget "
+                               "of 1000 points at k=28\n")
 
 
 class TestDensity:
@@ -185,6 +214,12 @@ class TestHilbert:
         assert "leading_coefficient: 1/3" in out
         assert "H_top_mass: 1/3" in out
 
+    def test_a2_hexagon_progression_bytes(self, tmp_path, capsys):
+        path = tmp_path / "hex.prob"
+        path.write_text(A2_HEXAGON_CREASE)
+        assert main(["hilbert", "--in", str(path), "--progression", "0:4:12"]) == 0
+        assert capsys.readouterr().out == A2_HEXAGON_HILBERT_REPORT
+
 
 class TestGenAndScan:
     def test_gen_roundtrips(self, tmp_path):
@@ -260,11 +295,11 @@ class TestParseExitCodes:
         path.write_text(A1_PL + "1 2 3\n")
         self.assert_parse_error(run_cli("futaki", "--in", str(path)), "line 11")
 
-    @pytest.mark.parametrize("spec", ["a:b", "1:2"])
+    @pytest.mark.parametrize("spec", ["a:b", "1:2", "-8:2:8", "8:-2:8", "4:0:12", "0:2:0"])
     def test_bad_progression(self, tmp_path, spec):
         path = tmp_path / "a1.prob"
         path.write_text(A1_PL)
-        proc = run_cli("hilbert", "--in", str(path), "--progression", spec)
+        proc = run_cli("hilbert", "--in", str(path), f"--progression={spec}")
         self.assert_parse_error(proc, "bad progression", repr(spec))
 
     def test_grid_chunk_without_value(self):
@@ -277,6 +312,12 @@ class TestParseExitCodes:
         self.assert_parse_error(proc, "'n'", "21/2")
         with pytest.raises(ParseError):
             scan_destabilizer("pgl3", parse_grid("s=5;n=10,21/2;epsilon=1/16;slope=1"))
+
+    def test_missing_grid_axis(self):
+        proc = run_cli("scan", "--family", "donaldson72", "--grid", "n=10;epsilon=1/8")
+        self.assert_parse_error(proc, "missing", "'slope'")
+        with pytest.raises(ParseError):
+            scan_destabilizer("pgl3", parse_grid("s=5;epsilon=1/16;slope=1"))
 
     @pytest.mark.parametrize("family,spec,axis", [
         ("donaldson72", "n=10;epsilon=1/8;slope=1;bogus=3", "bogus"),

@@ -49,6 +49,33 @@ class TestPolyArith:
             x() * MPoly.var(2, 0)
 
 
+class TestEvaluate:
+    def test_matches_term_by_term_fractions(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            terms = {tuple(rng.randint(0, 4) for _ in range(n)):
+                     F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 8))}
+            p = MPoly(n, terms)
+            pt = [rng.choice([rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 6))])
+                  for _ in range(n)]
+            want = sum((c * _monomial(pt, e) for e, c in p.terms.items()), F(0))
+            assert p.evaluate(pt) == want
+
+    def test_zero_constant_and_wrong_length(self):
+        assert MPoly.zero(2).evaluate((F(1, 3), 2)) == 0
+        assert MPoly.const(2, F(5, 3)).evaluate((F(1, 3), 7)) == F(5, 3)
+        with pytest.raises(KstabError):
+            MPoly.var(2, 0).evaluate((1,))
+
+
+def _monomial(pt, e):
+    out = F(1)
+    for v, k in zip(pt, e):
+        out *= F(v) ** k
+    return out
+
+
 class TestHomogeneousPart:
     def test_top_term(self):
         p = (x() + 1) ** 2

@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from kstab.errors import BudgetError, KstabError
-from kstab.exact import MPoly, upoly_eval
+from kstab.exact import MPoly, dot, upoly_eval
 from kstab.functionals import futaki_minus_F1, stability_bracket
 from kstab.integrate import boundary_integral, integrate_poly
 from kstab.oracle import (fit_series, lattice_points, lemma_check,
                           oracle_futaki, required_step, weighted_lattice_sum)
 from kstab.polytope import chamber_intersect, contains, hull_and_facets
-from kstab.plfunc import pl_constant, pl_from_pieces, symmetrize
+from kstab.plfunc import PLFunction, pl_constant, pl_from_pieces, symmetrize
 from kstab.rootsys import build_root_system, weyl_orbit
 
 UNIT_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -105,6 +105,117 @@ class TestLatticeWalker:
             list(lattice_points(hull_and_facets([(0, 0), (1, 1)]), 1))
 
 
+def reference_sums(rs, P, k, poly, f, R):
+    """Reference: each weight evaluated point by point over lattice_points."""
+    out = {"one": F(0), "H": F(0), "poly": F(0), "lifted": F(0)}
+    for lam in lattice_points(P, k):
+        h = rs.H.evaluate(lam)
+        out["one"] += 1
+        out["H"] += h
+        out["poly"] += poly.evaluate(lam)
+        out["lifted"] += h * (k * R - max(k * c + dot(g, lam) for c, g in f.pieces))
+    return out
+
+
+def random_polytope(rng, d, span=3):
+    while True:
+        pts = [tuple(F(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 4))]
+        P = hull_and_facets(pts)
+        if P.is_full_dim:
+            return P
+
+
+def random_poly(rng, d):
+    """A random polynomial of degree <= 3 with rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * d
+        for _ in range(rng.randint(0, 3)):
+            e[rng.randrange(d)] += 1
+        terms[tuple(e)] = F(rng.randint(-9, 9), rng.randint(1, 6))
+    return MPoly(d, terms)
+
+
+def random_convex_pl(rng, d):
+    """Max of random affine pieces, plus a piece with the first one's slope
+    along the last coordinate, a piece tied with it on the lattice
+    hyperplane x_d = t, and an exact duplicate of it."""
+    def rnd(lo, hi, den):
+        return F(rng.randint(lo, hi), rng.randint(1, den))
+    pieces = [(rnd(-4, 4, 4), tuple(rnd(-3, 3, 2) for _ in range(d)))
+              for _ in range(rng.randint(1, 3))]
+    c, g = pieces[0]
+    s, t = rnd(-2, 2, 2) or F(1), rng.randint(-2, 2)
+    pieces.append((c + rnd(-1, 1, 2), tuple(rnd(-3, 3, 2) for _ in g[:-1]) + (g[-1],)))
+    pieces.append((c - s * t, g[:-1] + (g[-1] + s,)))
+    pieces.append(pieces[0])
+    return PLFunction(d, tuple(pieces))
+
+
+ROOT_SYSTEMS = {1: ("A1", "toric:1"), 2: ("A2", "toric:2"), 3: ("A3", "toric:3")}
+
+
+class TestFiberSums:
+    """weighted_lattice_sum sums whole fibers in closed form; pinned here to
+    the point-by-point sum over lattice_points."""
+
+    def test_matches_point_by_point_random(self):
+        rng = random.Random(11)
+        for case in range(24):
+            d = 1 + case % 3
+            rs = build_root_system(ROOT_SYSTEMS[d][case // 3 % 2])
+            P = random_polytope(rng, d, span=5 - d)
+            poly, f = random_poly(rng, d), random_convex_pl(rng, d)
+            R = F(rng.randint(-5, 5), rng.randint(1, 3))
+            for k in (1, 2, 3, 5):
+                want = reference_sums(rs, P, k, poly, f, R)
+                got = {"one": weighted_lattice_sum(rs, P, k, "one"),
+                       "H": weighted_lattice_sum(rs, P, k, "H"),
+                       "poly": weighted_lattice_sum(rs, P, k, poly),
+                       "lifted": weighted_lattice_sum(rs, P, k, "lifted", f=f, R=R)}
+                assert got == want, (P.vertices, k, poly, f, R)
+
+    def test_symmetrized_crease_a2_hexagon(self):
+        rs = build_root_system("A2")
+        Pp = chamber_intersect(rs, hull_and_facets(weyl_orbit(rs, (1, 1))))
+        f = symmetrize(rs, pl_from_pieces(2, [(0, (0, 0)), (F(-5, 4), (1, 1))]))
+        for k in (1, 2, 3, 5):
+            for R in (1, 3, F(7, 3)):
+                assert weighted_lattice_sum(rs, Pp, k, "lifted", f=f, R=R) \
+                    == reference_sums(rs, Pp, k, rs.H, f, R)["lifted"]
+
+    def test_budget_counts_points(self):
+        rng = random.Random(3)
+        for d in (1, 2, 3):
+            rs = build_root_system(ROOT_SYSTEMS[d][0])
+            P = random_polytope(rng, d, span=5 - d)
+            f = random_convex_pl(rng, d)
+            want = reference_sums(rs, P, 3, rs.H, f, 2)
+            count = want["one"]
+            for weight in ("one", "H", "lifted"):
+                got = weighted_lattice_sum(rs, P, 3, weight, f=f, R=2, budget=count)
+                assert got == want[weight]
+                with pytest.raises(BudgetError) as exc:
+                    weighted_lattice_sum(rs, P, 3, weight, f=f, R=2, budget=count - 1)
+                assert str(exc.value) == \
+                    f"lattice enumeration exceeds the budget of {count - 1} points at k=3"
+
+    def test_never_evaluates_pointwise(self, monkeypatch):
+        def refuse(self, point):
+            raise AssertionError("MPoly.evaluate called")
+
+        rs, Pp, _ = a1_instance()
+        toric = build_root_system("toric:2")
+        square = hull_and_facets(UNIT_SQUARE)
+        crease = pl_from_pieces(2, [(0, (0, 0)), (F(-3, 2), (1, 1))])
+        monkeypatch.setattr(MPoly, "evaluate", refuse)
+        assert weighted_lattice_sum(rs, Pp, 4, "H") == 55
+        assert weighted_lattice_sum(rs, Pp, 3, rs.H_top) == 14
+        assert weighted_lattice_sum(rs, Pp, 4, "one") == 5
+        assert weighted_lattice_sum(toric, square, 4, "lifted", f=crease, R=1) == 4 * 25 - 4
+
+
 class TestFitSeries:
     def test_a1_sum_of_squares(self):
         rs, Pp, _ = a1_instance()
@@ -147,6 +258,18 @@ class TestFitSeries:
         assert required_step(rs, Pp) == 2
         with pytest.raises(KstabError):
             fit_series(rs, Pp, progression=(3, 3, 14))
+
+    @pytest.mark.parametrize("progression", [(-8, 2, 8), (8, -2, 8), (4, 0, 12), (0, 2, 0)])
+    def test_malformed_progression_rejected(self, progression):
+        rs, Pp, f = a1_instance()
+        with pytest.raises(KstabError, match="bad progression"):
+            fit_series(rs, Pp, f, progression=progression)
+
+    def test_progression_from_zero(self):
+        rs, Pp, _ = a1_instance()
+        series = fit_series(rs, Pp, progression=(0, 2, 8))
+        assert series.ks == (0, 2, 4, 6, 8, 10, 12, 14)
+        assert series.d_values[0] == 1
 
 
 class TestOracleFutaki:
