@@ -6,7 +6,7 @@ printed is an exact rational except columns explicitly marked as
 non-authoritative float approximations.
 
 Exit codes: 0 success, 2 validation failure, 3 budget refusal,
-4 parse error.
+4 parse error (malformed input or command line).
 """
 
 from __future__ import annotations
@@ -281,8 +281,17 @@ def cmd_scan(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parse errors: one stderr
+    line and exit 4, not argparse's exit 2, which here means a validation
+    failure.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"parse error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kstab",
         description="Exact K-stability certificates from polytope data")
     sub = parser.add_subparsers(dest="command", required=True)

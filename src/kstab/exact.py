@@ -8,12 +8,14 @@ certificates produced by the package must be unconditional.
 Rationals are `fractions.Fraction` (arbitrary precision, always stored in
 lowest terms with a positive denominator, serialized as ``p/q`` or ``p``).
 Polynomials are stored densely by exponent vector; total degrees in this
-package never exceed ~12, so no sparse cleverness is needed.
+package never exceed 13, so no sparse cleverness is needed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -222,20 +224,28 @@ class MPoly:
         pt = [rat(x) for x in point]
         if len(pt) != self.nvars:
             raise KstabError("evaluation point has wrong length")
+        q = math.lcm(*(x.denominator for x in pt))
+        return self.sum_at([[x.numerator * (q // x.denominator) for x in pt]], q)
+
+    def sum_at(self, points: Iterable[Sequence[int]], q: int) -> Fraction:
+        """Exact sum of the values at the points x/q, for integer vectors x
+        and a positive integer q.
+
+        The terms are scaled to integers and homogenized by q, so the sum is
+        taken in integers and a single Fraction is built at the end.
+        """
         if not self.terms:
             return Fraction(0)
-        q = math.lcm(*(x.denominator for x in pt))
-        xs = [x.numerator * (q // x.denominator) for x in pt]
         deg = self.degree()
-        den, terms = self.integer_terms()
+        den, scaled = self.integer_terms()
+        q_pow = list(itertools.accumulate(itertools.repeat(q, deg), operator.mul, initial=1))
+        terms = [(c * q_pow[deg - sum(e)], e) for e, c in scaled.items()]
         total = 0
-        for e, c in terms.items():
-            val = c * q ** (deg - sum(e))
-            for x, k in zip(xs, e):
-                if k:
-                    val *= x ** k
-            total += val
-        return Fraction(total, den * q ** deg)
+        for x in points:
+            x_pow = [list(itertools.accumulate(itertools.repeat(xi, deg), operator.mul,
+                                               initial=1)) for xi in x]
+            total += sum(c * math.prod(p[k] for p, k in zip(x_pow, e)) for c, e in terms)
+        return Fraction(total, den * q_pow[deg])
 
     def substitute_affine(self, rows: Sequence[Sequence], offset: Sequence) -> "MPoly":
         """Compose with an affine map: x_i = offset_i + sum_j rows[i][j] * t_j.

@@ -7,24 +7,37 @@ triangulation of every face: it is coned from its lexicographically
 smallest vertex over the triangulations of the facets that miss that
 vertex, each pulled in turn from its own smallest vertex, down to edges.
 Faces are read off the vertex-facet incidences (`polytope.tight_sets`),
-so one code path serves every dimension.  Each simplex is mapped to the
-standard simplex by an exact affine substitution, and monomials are
-integrated by the closed form
+so one code path serves every dimension.
 
-    integral over the standard simplex of t^a  =  a_1! ... a_s! / (s + |a|)!
+Each simplex is integrated by the Grundmann-Moeller cubature rule of index
+s (SIAM J. Numer. Anal. 15, 1978), which is exact for polynomials of
+degree at most 2s + 1.  Its nodes and weights are rational, so with
+s = deg(g) // 2 the rule is the exact integral:
 
-scaled by the absolute determinant of the map.
+    integral of g over S  =  |det S| * sum over nodes of  w * g(node),
+
+with the nodes the barycentric combinations of the vertices of S.  Some
+weights are negative, which is harmless in exact arithmetic.  A lower-
+dimensional polytope is triangulated in the coordinates t of its lattice
+chart x = chart_anchor + B t: the chart simplex gives the Jacobian of the
+face measure, and since the chart is affine, the nodes of its image in P
+are the same barycentric combinations of the lifted vertices.  g is
+summed over each level of nodes in integer arithmetic (`MPoly.sum_at`),
+its coefficients over one common denominator and the nodes over another.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KstabError
 from .exact import MPoly, Vec, det, vsub
-from .polytope import OUTER, Polytope, facet_polytope, tight_sets
+from .polytope import OUTER, Polytope, _chart_point, facet_polytope, tight_sets
 
 
 @dataclass(frozen=True)
@@ -69,43 +82,69 @@ def triangulate(P: Polytope, pull: Vec | None = None) -> SimplexDecomposition:
         tuple(tuple(P.vertices[j] for j in s) for s in simplices), v0)
 
 
+@functools.cache
+def _gm_rule(n: int, s: int) -> tuple[tuple[Fraction, int, tuple[tuple[int, ...], ...]], ...]:
+    """Grundmann-Moeller rule of index s on the n-simplex, exact to degree 2s + 1.
+
+    One entry per level i = 0..s: the weight w_i of each of its nodes, their
+    common denominator m = 2s + 1 + n - 2i, and the numerators 2*beta + 1 of
+    their barycentric coordinates, one node per beta in N^(n+1) with
+    |beta| = s - i.  Summed over all nodes the weights give 1/n!, the volume
+    of the standard simplex.
+    """
+    d = 2 * s + 1
+    levels = []
+    for i in range(s + 1):
+        k = s - i
+        m = d + n - 2 * i
+        w = Fraction((-1) ** i * m ** d,
+                     4 ** s * math.factorial(i) * math.factorial(d + n - i))
+        nodes = tuple(tuple(2 * b + 1 for b in (*head, k - sum(head)))
+                      for head in itertools.product(range(k + 1), repeat=n)
+                      if sum(head) <= k)
+        levels.append((w, m, nodes))
+    return tuple(levels)
+
+
+def _simplex_integral(chart: tuple[Vec, ...], verts: tuple[Vec, ...], g: MPoly) -> Fraction:
+    """Exact integral of g over the simplex with vertices `verts`, in the
+    measure of the full-dimensional simplex `chart` that maps onto it
+    affinely, vertex by vertex (`chart` is `verts` for a full-dimensional
+    simplex)."""
+    jac = abs(det([vsub(v, chart[0]) for v in chart[1:]]))
+    if jac == 0 or g.is_zero:
+        return Fraction(0)
+    q = math.lcm(*(x.denominator for v in verts for x in v))
+    coords = list(zip(*([x.numerator * (q // x.denominator) for x in v] for v in verts)))
+    total = Fraction(0)
+    for w, m, nodes in _gm_rule(len(chart) - 1, g.degree() // 2):
+        points = ([sum(map(operator.mul, lam, c)) for c in coords] for lam in nodes)
+        total += w * g.sum_at(points, m * q)
+    return jac * total
+
+
 def integrate_simplex(verts: tuple[Vec, ...], g: MPoly) -> Fraction:
     """Exact integral of g over a full-dimensional simplex."""
-    d = len(verts) - 1
-    base = verts[0]
-    cols = [vsub(v, base) for v in verts[1:]]
-    jac = abs(det([[cols[j][i] for j in range(d)] for i in range(d)]))
-    if jac == 0:
-        return Fraction(0)
-    rows = [[cols[j][i] for j in range(d)] for i in range(len(base))]
-    gsub = g.substitute_affine(rows, base)
-    total = Fraction(0)
-    for e, c in gsub.terms.items():
-        num = 1
-        for k in e:
-            num *= math.factorial(k)
-        total += c * Fraction(num, math.factorial(d + sum(e)))
-    return jac * total
+    return _simplex_integral(verts, verts, g)
 
 
 def integrate_poly(P: Polytope, g: MPoly) -> Fraction:
     """Integral of g over P with the lattice measure of its affine hull.
 
-    Full-dimensional polytopes use the ambient lattice measure; faces are
-    pulled back through their saturated-lattice chart (this is exactly the
-    face measure), and points evaluate g (counting measure).
+    Full-dimensional polytopes use the ambient lattice measure; a face is
+    triangulated in its saturated-lattice chart (which carries exactly the
+    face measure) and each chart simplex is lifted into P; points evaluate
+    g (counting measure).
     """
     if g.nvars != P.ambient:
         raise KstabError("polynomial and polytope dimensions disagree")
     if P.dim == 0:
         return g.evaluate(P.vertices[0])
     if P.is_full_dim:
-        dec = triangulate(P)
-        return sum((integrate_simplex(s, g) for s in dec.simplices), Fraction(0))
-    rows = [[Fraction(P.chart_basis[j][i]) for j in range(P.dim)]
-            for i in range(P.ambient)]
-    inner_g = g.substitute_affine(rows, P.chart_anchor)
-    return integrate_poly(P.inner, inner_g)
+        return sum((integrate_simplex(s, g) for s in triangulate(P).simplices), Fraction(0))
+    return sum((_simplex_integral(s, tuple(_chart_point(P.chart_anchor, P.chart_basis, t)
+                                           for t in s), g)
+                for s in triangulate(P.inner).simplices), Fraction(0))
 
 
 def face_integral(F: Polytope, g: MPoly) -> Fraction:

@@ -302,6 +302,27 @@ class TestParseExitCodes:
         proc = run_cli("hilbert", "--in", str(path), f"--progression={spec}")
         self.assert_parse_error(proc, "bad progression", repr(spec))
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["hilbert", "--in", "{a1}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["hilbert", "--in", "{a1}", "--progression", "-8:2:8"], "--progression"),
+        (["hilbert", "--in", "{a1}", "--budget", "many"], "--budget"),
+        (["hilbert"], "--in"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "command"),
+    ], ids=["unknown-flag", "dash-value", "non-integer-budget", "missing-in",
+            "unknown-command", "no-command"])
+    def test_usage_error(self, tmp_path, argv, fragment):
+        path = tmp_path / "a1.prob"
+        path.write_text(A1_PL)
+        proc = run_cli(*(a.format(a1=path) for a in argv))
+        self.assert_parse_error(proc, fragment)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["hilbert", "--help"]])
+    def test_help_exits_0(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0 and "usage: kstab" in proc.stdout
+        assert proc.stderr == ""
+
     def test_grid_chunk_without_value(self):
         proc = run_cli("scan", "--family", "donaldson72", "--grid", "n=10;epsilon")
         self.assert_parse_error(proc, "bad grid chunk 'epsilon'")

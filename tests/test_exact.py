@@ -62,6 +62,18 @@ class TestEvaluate:
             want = sum((c * _monomial(pt, e) for e, c in p.terms.items()), F(0))
             assert p.evaluate(pt) == want
 
+    def test_sum_at_matches_evaluate(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            terms = {tuple(rng.randint(0, 5) for _ in range(n)):
+                     F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 8))}
+            p = MPoly(n, terms)
+            q = rng.randint(1, 12)
+            xs = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+            want = sum((p.evaluate([F(x, q) for x in pt]) for pt in xs), F(0))
+            assert p.sum_at(iter(xs), q) == want
+
     def test_zero_constant_and_wrong_length(self):
         assert MPoly.zero(2).evaluate((F(1, 3), 2)) == 0
         assert MPoly.const(2, F(5, 3)).evaluate((F(1, 3), 7)) == F(5, 3)

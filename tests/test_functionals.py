@@ -6,9 +6,9 @@ import pytest
 import kstab.functionals
 from kstab.exact import MPoly
 from kstab.functionals import (VERDICT_NONNEGATIVE, VERDICT_ZERO,
-                               abcd_coefficients, average_a, csc_verdict,
-                               density_sign_scan, futaki_minus_F1,
-                               stability_bracket)
+                               abcd_coefficients, average_a, bracket_terms,
+                               csc_verdict, density_sign_scan, futaki_minus_F1,
+                               plus_masses, stability_bracket)
 from kstab.generators import random_w_invariant_polytope
 from kstab.integrate import boundary_integral, integrate_poly
 from kstab.polytope import chamber_intersect, dilate, hull_and_facets
@@ -167,6 +167,24 @@ class TestABCD:
         rs, _, Pp = a1_setup()
         ratios = {abcd_coefficients(rs, Pp, a1_crease(), R)[4] for R in (1, 2, 7)}
         assert len(ratios) == 1
+
+
+class TestA3Brackets:
+    # -F1 of the 13-piece symmetrized crease max(0, -1/2 + x_0), frozen from
+    # the substitution integrator that exact cubature replaced
+    @pytest.mark.parametrize("seed,minus_F1", [
+        ((1, 0, 0), F(1818879, 2097152)),
+        ((1, 1, 1), F(-597567318600448506557073, 4314790285698406446792704)),
+    ], ids=["tetrahedron", "permutohedron"])
+    def test_symmetrized_crease(self, seed, minus_F1):
+        rs = build_root_system("A3")
+        Pp = chamber_intersect(rs, hull_and_facets(weyl_orbit(rs, seed)))
+        f = symmetrize(rs, pl_from_pieces(3, [(0, (0, 0, 0)), (F(-1, 2), (1, 0, 0))]))
+        assert len(f.pieces) == 13
+        terms = bracket_terms(rs, Pp, f, plus_masses(rs, Pp))
+        assert terms.minus_F1 == minus_F1
+        for R in (terms.f_max, terms.f_max + 3):
+            assert terms.abcd(R)[4] == minus_F1
 
 
 class TestDensity:

@@ -1,11 +1,14 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from kstab.exact import MPoly, dot
-from kstab.integrate import (boundary_integral, face_integral, integrate_poly,
-                             triangulate, volume)
+from kstab.exact import MPoly, det, dot, rank, vsub
+from kstab.integrate import (_gm_rule, boundary_integral, face_integral,
+                             integrate_poly, integrate_simplex, triangulate,
+                             volume)
 from kstab.polytope import (_hull_ring_2d, affine_coords, chamber_intersect,
                             dilate, facet_polytope, facet_vertices,
                             hull_and_facets)
@@ -149,15 +152,107 @@ class TestIntegratePoly:
         assert scaled == F(N) ** (rs.rank + rs.d) * base
 
     def test_triangulation_independence(self):
+        # the A3 integrand l * H_top has degree 13, the highest the package meets
+        cases = [("A2", (1, 1), lambda rs: rs.H_top + rs.H_sub),
+                 ("A3", (1, 1, 1), lambda rs: MPoly.affine(F(-1, 2), (1, 0, 0)) * rs.H_top)]
+        for label, seed, integrand in cases:
+            rs = build_root_system(label)
+            Pp = chamber_intersect(rs, hull_and_facets(weyl_orbit(rs, seed)))
+            g = integrand(rs)
+            totals = set()
+            for pull in Pp.vertices:
+                dec = triangulate(Pp, pull=pull)
+                totals.add(sum((integrate_simplex(s, g) for s in dec.simplices), F(0)))
+            assert len(totals) == 1, label
+
+
+def reference_simplex_integral(verts, g):
+    """The substitution integrator: g composed with the affine map from the
+    standard simplex, integrated term by term by the closed form
+    a_1! ... a_d! / (d + |a|)!, times the absolute determinant of the map."""
+    d = len(verts) - 1
+    base = verts[0]
+    cols = [vsub(v, base) for v in verts[1:]]
+    rows = [[cols[j][i] for j in range(d)] for i in range(len(base))]
+    total = sum((c * F(math.prod(map(math.factorial, e)), math.factorial(d + sum(e)))
+                 for e, c in g.substitute_affine(rows, base).terms.items()), F(0))
+    return abs(det(rows)) * total
+
+
+def reference_integral(P, g):
+    """integrate_poly by substitution: a face pulls g back through its chart."""
+    if P.is_full_dim:
+        return sum((reference_simplex_integral(s, g) for s in triangulate(P).simplices), F(0))
+    rows = [[F(P.chart_basis[j][i]) for j in range(P.dim)] for i in range(P.ambient)]
+    return reference_integral(P.inner, g.substitute_affine(rows, P.chart_anchor))
+
+
+def random_poly(rng, n, degree):
+    """A rational polynomial in n variables of exactly this total degree."""
+    def exponent(d):
+        e = [0] * n
+        for _ in range(d):
+            e[rng.randrange(n)] += 1
+        return tuple(e)
+    terms = {exponent(rng.randint(0, degree)): F(rng.randint(-9, 9), rng.randint(1, 5))
+             for _ in range(rng.randint(0, 4))}
+    terms[exponent(degree)] = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return MPoly(n, terms)
+
+
+def random_simplex(rng, k, ambient):
+    """k + 1 affinely independent rational points in the given dimension."""
+    while True:
+        verts = [tuple(F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(ambient))
+                 for _ in range(k + 1)]
+        if rank([vsub(v, verts[0]) for v in verts[1:]]) == k:
+            return tuple(verts)
+
+
+class TestCubature:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", range(7))
+    def test_rule_weights_and_monomials(self, n, s):
+        rule = _gm_rule(n, s)
+        assert sum(w * len(nodes) for w, _, nodes in rule) == F(1, math.factorial(n))
+        assert all(sum(lam) == m for _, m, nodes in rule for lam in nodes)
+        # the standard simplex has vertices 0, e_1, ..., e_n, so t = lambda_1..n
+        for a in itertools.product(range(2 * s + 2), repeat=n):
+            if sum(a) > 2 * s + 1:
+                continue
+            got = sum((w * F(sum(math.prod(t ** k for t, k in zip(lam[1:], a)) for lam in nodes),
+                             m ** sum(a))
+                       for w, m, nodes in rule), F(0))
+            assert got == F(math.prod(map(math.factorial, a)), math.factorial(n + sum(a))), a
+
+    @pytest.mark.parametrize("n,s,count", [(2, 3, 20), (3, 6, 210)])
+    def test_node_counts(self, n, s, count):
+        assert sum(len(nodes) for _, _, nodes in _gm_rule(n, s)) == count
+
+    @pytest.mark.parametrize("k,ambient", [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)])
+    def test_matches_substitution(self, k, ambient):
+        rng = random.Random(100 * k + ambient)
+        for degree in [*range(14), *range(14)]:
+            verts = random_simplex(rng, k, ambient)
+            g = random_poly(rng, ambient, degree)
+            P = hull_and_facets(verts)
+            want = reference_integral(P, g)
+            if k == ambient:
+                assert integrate_simplex(verts, g) == want, (verts, g)
+            assert integrate_poly(P, g) == want, (verts, g)
+
+    def test_no_substitution(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("substitute_affine called")
+
+        monkeypatch.setattr(MPoly, "substitute_affine", refuse)
         rs = build_root_system("A2")
         Pp = chamber_intersect(rs, hull_and_facets(weyl_orbit(rs, (1, 1))))
-        g = rs.H_top + rs.H_sub
-        totals = set()
-        from kstab.integrate import integrate_simplex
-        for pull in Pp.vertices:
-            dec = triangulate(Pp, pull=pull)
-            totals.add(sum((integrate_simplex(s, g) for s in dec.simplices), F(0)))
-        assert len(totals) == 1
+        g = MPoly.affine(F(-1, 3), (1, 2)) * rs.H_top
+        assert integrate_poly(Pp, g) != 0
+        assert boundary_integral(Pp, g, "all") != 0
+        T = hull_and_facets([(0, 0, 1), (F(1, 2), 1, 0), (2, F(1, 3), 1)])
+        assert integrate_poly(T, MPoly.var(3, 0) ** 5) != 0
 
 
 class TestFaceIntegral:
